@@ -239,7 +239,8 @@ def sample_gnp(params: GnpParams) -> Graph:
             expected = (total - 1 - pos) * p
             batch = int(min(max(expected * 1.125 + 64.0, 1024.0), _BATCH_CAP))
             u = rng.random(batch)
-            gaps = (np.log1p(-u) / log_q).astype(np.int64) + 1
+            # a gap past the last pair ends the walk: clamp before the cast
+            gaps = np.minimum(np.log1p(-u) / log_q, total).astype(np.int64) + 1
             idx = pos + np.cumsum(gaps)
             cut = int(np.searchsorted(idx, total, side="left"))
             if cut:
@@ -375,14 +376,12 @@ def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
     dist[src] = 0
     frontier = src
     for level in range(1, cap):
-        if frontier.size == 0:
-            break
         nbrs = _gather_neighbors(g, frontier)
         fresh = nbrs[dist[nbrs] == cap]
-        if fresh.size == 0:
-            break
         dist[fresh] = level
-        frontier = np.unique(fresh).astype(np.int64)
+        if fresh.size == 0 or level == cap - 1:
+            break  # the last level is never expanded, so never deduplicated
+        frontier = np.unique(fresh)
     return dist
 
 

@@ -9,8 +9,8 @@ Three constructions live here:
   always maximal.
 * ``generator_algorithm`` -- pair 2s random vertices into s tentative pairs,
   then repeatedly replace the lowest-index invalid pair by a random edge
-  drawn from the set of vertices at distance >= k from the current
-  selection, until the s pairs form a k-matching of exactly that size.
+  whose endpoints a per-vertex coverage counter puts at distance >= k from
+  the selection, until the s pairs form a k-matching of exactly that size.
 * ``exact_um_k`` -- branch-and-bound over the edge compatibility graph,
   for small instances only; returns the k-matching number and a witness.
 """
@@ -30,6 +30,7 @@ from .graph import (
     bounded_ball,
     distance_to_set,
     edge,
+    _gather_neighbors,
     _induced_edge_from_mask,
 )
 
@@ -238,16 +239,18 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
     """Build a k-matching of exactly s edges by pairing 2s random vertices
     and repairing invalid pairs one at a time.
 
-    A pair is invalid when it is not an edge of g or some other selected
-    pair sits within endpoint distance < k.  Each repair removes the
-    lowest-index invalid pair, recomputes the set F of vertices at distance
-    >= k from the remaining selection, and inserts a uniformly random edge
-    induced by F (drawn by rejection from the edge list, with an exact
-    scan fallback).  Inserted pairs are valid against everything currently
+    A coverage counter holds, per vertex, the number of selected vertices
+    within distance k-1: the set F of vertices at distance >= k from the
+    selection is where it reads 0, and a pair is valid (an edge with no
+    other selected vertex within distance k-1) iff it reads 2 at both
+    endpoints.  Each repair takes the lowest-index invalid pair's two balls
+    off the counter and adds those of a uniformly random edge induced by F
+    (drawn by rejection from the edge list, with an exact scan fallback):
+    O(d^(k-1)) work, not O(n).  Inserted pairs are valid against everything
     selected and stay valid, so the invalid count strictly decreases.
 
-    Raises GeneratorStalled when F induces no edge or the iteration budget
-    is exhausted.
+    Raises GeneratorStalled, carrying |F|, when F induces no edge or the
+    iteration budget is exhausted.
     """
     k = cfg.k
     s = cfg.s_override if cfg.s_override is not None else default_pair_count(g, k)
@@ -262,19 +265,27 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
     draw = rng.choice(g.n, size=2 * s, replace=False)
     pu = np.minimum(draw[0::2], draw[1::2]).astype(np.int64)
     pv = np.maximum(draw[0::2], draw[1::2]).astype(np.int64)
-    # the plain mask is enough: selected vertices stay pairwise distinct
-    # (the draw is without replacement, insertions come from the far set)
-    selected = np.zeros(g.n, dtype=bool)
-    selected[draw] = True
+    # selected vertices stay distinct (drawn without replacement, inserted
+    # from F); each adds 1 over its ball, deduplicated at every level so a
+    # ball grows with its vertex count, not with its number of walks
+    cover = np.zeros(g.n, dtype=np.int32)
+
+    def shift(i: int, step: int) -> None:
+        for x in (int(pu[i]), int(pv[i])):
+            ball = np.concatenate(([x], g.neighbors(x)))
+            for _ in range(k - 2):
+                ball = np.unique(np.concatenate([ball, _gather_neighbors(g, ball)]))
+            cover[ball] += step
+
+    for i in range(s):
+        shift(i, 1)
 
     def pair_valid(i: int) -> bool:
         u, v = int(pu[i]), int(pv[i])
-        if not g.has_edge(u, v):
-            return False
-        for w in bounded_ball(g, (u, v), k - 1):
-            if selected[w] and w != u and w != v:
-                return False
-        return True
+        return g.has_edge(u, v) and cover[u] == 2 and cover[v] == 2
+
+    def stalled(message: str) -> GeneratorStalled:
+        return GeneratorStalled(message, iterations, int(np.count_nonzero(cover == 0)))
 
     invalid = [i for i in range(s) if not pair_valid(i)]
     heapq.heapify(invalid)
@@ -285,36 +296,26 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
             continue  # the conflicting pair was repaired away
         iterations += 1
         if iterations > max_iter:
-            raise GeneratorStalled(
-                f"exceeded {max_iter} repair iterations", iterations, -1
-            )
-        selected[pu[i]] = False
-        selected[pv[i]] = False
-        far = distance_to_set(g, np.flatnonzero(selected), k) == k
+            raise stalled(f"exceeded {max_iter} repair iterations")
+        shift(i, -1)
         picked = None
         if g.edge_count:
             for _ in range(_REJECTION_TRIES):
                 j = int(rng.integers(g.edge_count))
-                if far[g.eu[j]] and far[g.ev[j]]:
+                if cover[g.eu[j]] == 0 and cover[g.ev[j]] == 0:
                     picked = j
                     break
             if picked is None:
+                far = cover == 0
                 hits = np.flatnonzero(far[g.eu] & far[g.ev])
                 if hits.size:
                     picked = int(hits[rng.integers(hits.size)])
         if picked is None:
-            raise GeneratorStalled(
-                "no edge induced by the distance->=k vertex set",
-                iterations,
-                int(np.count_nonzero(far)),
-            )
+            raise stalled("no edge induced by the distance->=k vertex set")
         pu[i] = int(g.eu[picked])
         pv[i] = int(g.ev[picked])
-        selected[pu[i]] = True
-        selected[pv[i]] = True
-    return KMatching(
-        k, frozenset(zip(pu.tolist(), pv.tolist()))
-    )
+        shift(i, 1)
+    return KMatching(k, frozenset(zip(pu.tolist(), pv.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,14 @@ class TestSampling:
         assert g.edge_count == 0
         assert g.n == 100
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_p_gives_empty_graph(self):
+        # the geometric gaps exceed the int64 range unless clamped at the
+        # pair count before the cast
+        g = km.sample_gnp(GnpParams(1000, 1e-19, 1))
+        assert g.n == 1000
+        assert g.edge_count == 0
+
     def test_n_zero_and_one(self):
         assert km.sample_gnp(GnpParams(0, 0.7, 1)).edge_count == 0
         assert km.sample_gnp(GnpParams(1, 0.7, 1)).edge_count == 0

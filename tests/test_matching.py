@@ -1,3 +1,4 @@
+import heapq
 import itertools
 
 import networkx as nx
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kmatch as km
-from kmatch.graph import GnpParams
+from kmatch.graph import GnpParams, bounded_ball, distance_to_set
 from kmatch.matching import (
+    _REJECTION_TRIES,
     GeneratorConfig,
     GeneratorStalled,
     InstanceTooLargeError,
@@ -30,6 +32,92 @@ def brute_force_um_k(g, k):
                 best = max(best, r)
                 break
     return best
+
+
+def reference_generator_algorithm(g, cfg):
+    """Reference pair-and-repair loop: rebuilds the far set F with a full
+    ``distance_to_set`` on every repair and checks pairs by a Python ball
+    walk.  It consumes the RNG exactly as ``generator_algorithm`` must.  The
+    library once reported far_size -1 on the budget path; here |F| is
+    computed from scratch there too."""
+    k = cfg.k
+    s = cfg.s_override if cfg.s_override is not None else default_pair_count(g, k)
+    if 2 * s > g.n:
+        raise ValueError(f"need 2s={2 * s} <= n={g.n} distinct vertices")
+    max_iter = (
+        cfg.max_repair_iterations
+        if cfg.max_repair_iterations is not None
+        else max(10 * s, 1000)
+    )
+    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+    draw = rng.choice(g.n, size=2 * s, replace=False)
+    pu = np.minimum(draw[0::2], draw[1::2]).astype(np.int64)
+    pv = np.maximum(draw[0::2], draw[1::2]).astype(np.int64)
+    # the plain mask is enough: selected vertices stay pairwise distinct
+    # (the draw is without replacement, insertions come from the far set)
+    selected = np.zeros(g.n, dtype=bool)
+    selected[draw] = True
+
+    def pair_valid(i: int) -> bool:
+        u, v = int(pu[i]), int(pv[i])
+        if not g.has_edge(u, v):
+            return False
+        for w in bounded_ball(g, (u, v), k - 1):
+            if selected[w] and w != u and w != v:
+                return False
+        return True
+
+    invalid = [i for i in range(s) if not pair_valid(i)]
+    heapq.heapify(invalid)
+    iterations = 0
+    while invalid:
+        i = heapq.heappop(invalid)
+        if pair_valid(i):
+            continue  # the conflicting pair was repaired away
+        iterations += 1
+        if iterations > max_iter:
+            far = distance_to_set(g, np.flatnonzero(selected), k) == k
+            raise GeneratorStalled(
+                f"exceeded {max_iter} repair iterations",
+                iterations,
+                int(np.count_nonzero(far)),
+            )
+        selected[pu[i]] = False
+        selected[pv[i]] = False
+        far = distance_to_set(g, np.flatnonzero(selected), k) == k
+        picked = None
+        if g.edge_count:
+            for _ in range(_REJECTION_TRIES):
+                j = int(rng.integers(g.edge_count))
+                if far[g.eu[j]] and far[g.ev[j]]:
+                    picked = j
+                    break
+            if picked is None:
+                hits = np.flatnonzero(far[g.eu] & far[g.ev])
+                if hits.size:
+                    picked = int(hits[rng.integers(hits.size)])
+        if picked is None:
+            raise GeneratorStalled(
+                "no edge induced by the distance->=k vertex set",
+                iterations,
+                int(np.count_nonzero(far)),
+            )
+        pu[i] = int(g.eu[picked])
+        pv[i] = int(g.ev[picked])
+        selected[pu[i]] = True
+        selected[pv[i]] = True
+    return KMatching(
+        k, frozenset(zip(pu.tolist(), pv.tolist()))
+    )
+
+
+def generator_outcome(fn, g, cfg):
+    """The matching ``fn`` builds, or the message, iteration count and |F|
+    of the GeneratorStalled it raises."""
+    try:
+        return fn(g, cfg)
+    except GeneratorStalled as exc:
+        return (str(exc), exc.iterations, exc.far_size)
 
 
 class TestIsKMatching:
@@ -228,10 +316,13 @@ class TestGenerator:
         # random pairs on a path are almost never edges, so repairs are
         # needed and a budget of 1 must trip
         g = km.path_graph(64)
-        with pytest.raises(GeneratorStalled):
-            km.generator_algorithm(
-                g, GeneratorConfig(k=2, seed=0, s_override=16, max_repair_iterations=1)
-            )
+        cfg = GeneratorConfig(k=2, seed=0, s_override=16, max_repair_iterations=1)
+        with pytest.raises(GeneratorStalled) as info:
+            km.generator_algorithm(g, cfg)
+        with pytest.raises(GeneratorStalled) as ref:
+            reference_generator_algorithm(g, cfg)
+        assert info.value.iterations == 2
+        assert info.value.far_size == ref.value.far_size >= 0
 
     def test_output_size_exact_and_valid(self):
         g = km.sample_gnp(GnpParams(3000, 10.0 / 3000, 77))
@@ -263,6 +354,68 @@ class TestGenerator:
             km.generator_algorithm(
                 km.complete_graph(4), GeneratorConfig(k=2, seed=0, s_override=3)
             )
+
+
+class TestGeneratorAgainstReference:
+    """``generator_algorithm`` keeps a coverage counter where the reference
+    rebuilds F on every repair; both must return the same matching, or
+    stall with the same message, iteration count and |F|."""
+
+    @pytest.mark.parametrize(
+        "n, d, k, s",
+        # s=None takes the formula's s; the larger s need fallback scans
+        # near the end, and the largest of each k stall for every seed
+        [
+            (3000, 8.0, 2, None),
+            (3000, 8.0, 2, 340),
+            (3000, 8.0, 2, 380),
+            (4000, 5.0, 3, None),
+            (4000, 5.0, 3, 200),
+            (4000, 5.0, 3, 240),
+            (4000, 3.0, 4, 200),
+            (4000, 3.0, 4, 260),
+        ],
+    )
+    def test_seed_grid(self, n, d, k, s):
+        g = km.sample_gnp(GnpParams(n, d / n, 1000 + k))
+        for seed in range(5):
+            cfg = GeneratorConfig(k=k, seed=seed, s_override=s)
+            assert generator_outcome(km.generator_algorithm, g, cfg) == (
+                generator_outcome(reference_generator_algorithm, g, cfg)
+            ), seed
+
+    @pytest.mark.parametrize(
+        "g, cfg",
+        [
+            (km.path_graph(64), GeneratorConfig(2, 0, 16, max_repair_iterations=1)),
+            (km.path_graph(64), GeneratorConfig(3, 1, 4, max_repair_iterations=1)),
+            (km.from_edges(8, []), GeneratorConfig(2, 5, 1)),
+            (km.from_edges(8, []), GeneratorConfig(3, 5, 4)),
+            (km.complete_graph(9), GeneratorConfig(2, 5, 1)),
+            (km.complete_graph(9), GeneratorConfig(2, 5, 3)),
+        ],
+    )
+    def test_special_graphs(self, g, cfg):
+        assert generator_outcome(km.generator_algorithm, g, cfg) == (
+            generator_outcome(reference_generator_algorithm, g, cfg)
+        )
+
+    @given(
+        st.integers(4, 40),
+        st.floats(0.02, 0.6),
+        st.integers(2, 4),
+        st.integers(0, 2**32),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_small_gnp(self, n, p, k, seed, data):
+        g = km.sample_gnp(GnpParams(n, p, seed))
+        s = data.draw(st.integers(1, n // 2))
+        budget = data.draw(st.one_of(st.none(), st.integers(1, 5)))
+        cfg = GeneratorConfig(k, seed, s, max_repair_iterations=budget)
+        assert generator_outcome(km.generator_algorithm, g, cfg) == (
+            generator_outcome(reference_generator_algorithm, g, cfg)
+        )
 
 
 class TestSerialization:
