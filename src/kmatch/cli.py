@@ -102,10 +102,15 @@ def _cmd_greedy(args) -> int:
 
 def _cmd_generator(args) -> int:
     g = _resolve_graph(args)
+    s = args.s
+    if s is None and not args.input:
+        # a sampled graph targets its configured degree, as `experiment` does;
+        # only an --input graph falls back to its mean degree
+        s = matching.default_pair_count(_params_from_args(args))
     cfg = matching.GeneratorConfig(
         k=args.k,
         seed=args.seed,
-        s_override=args.s,
+        s_override=s,
         max_repair_iterations=args.max_repairs,
     )
     try:

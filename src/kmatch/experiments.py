@@ -32,6 +32,7 @@ from .matching import (
     GeneratorConfig,
     GeneratorStalled,
     KMatching,
+    default_pair_count,
     exact_um_k,
     greedy_k_matching,
     generator_algorithm,
@@ -189,8 +190,7 @@ def _summary_bounds(cfg: TrialConfig) -> Optional[analytic.BoundSet]:
 def _generator_target(cfg: TrialConfig) -> int:
     if cfg.s_override is not None:
         return cfg.s_override
-    s = math.floor(analytic.generator_pair_target(cfg.asymptotic_params()))
-    return max(1, s)
+    return default_pair_count(cfg.asymptotic_params())
 
 
 def _run_one(cfg: TrialConfig, index: int) -> TrialRecord:

@@ -141,8 +141,9 @@ def _from_sorted_pairs(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:
     """Build CSR adjacency from edges already sorted lexicographically.
 
     The symmetric adjacency comes from scipy's compiled COO->CSR counting
-    sort plus an index sort, so neighbor lists are ascending and the build
-    is O(n + m).
+    sort, which is stable: listing every row's smaller neighbours (the
+    ``ev`` side) before its larger ones (the ``eu`` side) makes each row
+    come out ascending, so no index sort follows and the build is O(n + m).
     """
     eu = np.ascontiguousarray(eu, dtype=np.int32)
     ev = np.ascontiguousarray(ev, dtype=np.int32)
@@ -158,11 +159,10 @@ def _from_sorted_pairs(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:
     adj = sparse.coo_matrix(
         (
             np.ones(2 * m, dtype=np.int8),
-            (np.concatenate([eu, ev]), np.concatenate([ev, eu])),
+            (np.concatenate([ev, eu]), np.concatenate([eu, ev])),
         ),
         shape=(n, n),
     ).tocsr()
-    adj.sort_indices()
     indptr = adj.indptr.astype(np.int64)
     indices = adj.indices.astype(np.int32, copy=False)
     return Graph(n, _freeze(indptr), _freeze(indices), _freeze(eu), _freeze(ev))
@@ -251,10 +251,13 @@ def sample_gnp(params: GnpParams) -> Graph:
         return _from_sorted_pairs(
             n, np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
         )
+    # row u holds the pairs offs[u] <= t < offs[u+1]: n searches into the
+    # sorted t instead of one search per pair
     offs = _pair_offsets(n)
-    us = np.searchsorted(offs, t, side="right") - 1
-    vs = t - offs[us] + us + 1
-    return _from_sorted_pairs(n, us.astype(np.int32), vs.astype(np.int32))
+    counts = np.diff(np.searchsorted(t, offs))
+    us = np.repeat(np.arange(n, dtype=np.int32), counts)
+    vs = t - np.repeat(offs[:-1] - np.arange(n) - 1, counts)
+    return _from_sorted_pairs(n, us, vs.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +361,54 @@ def _gather_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:
     return g.indices[idx]
 
 
+def _ball(g: Graph, seeds: Sequence[int], radius: int) -> np.ndarray:
+    """The vertices within distance <= radius of the seeds, seeds included,
+    as an index array that may repeat a vertex.
+
+    The first level is the seeds' CSR slices; each further level gathers
+    the neighbours of the previous level's distinct vertices.  The last
+    level is not deduplicated: the ball is meant for index assignment
+    (``mask[ball] = True``, ``count[ball] += 1``), where a repeated index
+    acts once.
+    """
+    levels = [seeds]
+    if radius >= 1:
+        levels += [g.indices[g.indptr[s] : g.indptr[s + 1]] for s in seeds]
+    frontier = levels[1:]
+    for _ in range(radius - 1):
+        frontier = [_gather_neighbors(g, np.unique(np.concatenate(frontier)))]
+        levels += frontier
+    return np.concatenate(levels)
+
+
+def _bfs(
+    g: Graph, src: np.ndarray, cap: int, owner: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Distances from the in-range vertices ``src`` (repeats allowed),
+    truncated at ``cap`` (see ``distance_to_set``).
+
+    Given ``owner``, a per-vertex label array already set at ``src``, every
+    vertex at distance 1..cap-1 takes the label of a neighbour one level
+    closer, so each labelled vertex lies at its distance from a source of
+    its own label.
+    """
+    dist = np.full(g.n, cap, dtype=np.int32)
+    dist[src] = 0
+    frontier = src
+    for level in range(1, cap):
+        nbrs = _gather_neighbors(g, frontier)
+        fresh = dist[nbrs] == cap
+        if owner is not None:
+            degs = g.indptr[frontier + 1] - g.indptr[frontier]
+            owner[nbrs[fresh]] = np.repeat(owner[frontier], degs)[fresh]
+        nbrs = nbrs[fresh]
+        dist[nbrs] = level
+        if nbrs.size == 0 or level == cap - 1:
+            break  # the last level is never expanded, so never deduplicated
+        frontier = np.unique(nbrs)
+    return dist
+
+
 def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
     """Per-vertex distance to the nearest source, truncated at ``cap``.
 
@@ -366,23 +417,11 @@ def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    dist = np.full(g.n, cap, dtype=np.int32)
     src = np.asarray(list(sources) if not isinstance(sources, np.ndarray) else sources)
-    if src.size == 0:
-        return dist
     src = np.unique(src.astype(np.int64))
     if src.size and (src[0] < 0 or src[-1] >= g.n):
         raise ValueError("source vertex out of range")
-    dist[src] = 0
-    frontier = src
-    for level in range(1, cap):
-        nbrs = _gather_neighbors(g, frontier)
-        fresh = nbrs[dist[nbrs] == cap]
-        dist[fresh] = level
-        if fresh.size == 0 or level == cap - 1:
-            break  # the last level is never expanded, so never deduplicated
-        frontier = np.unique(fresh)
-    return dist
+    return _bfs(g, src, cap)
 
 
 def neighborhood_layers(

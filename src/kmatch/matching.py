@@ -25,11 +25,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import analytic
-from .graph import (
+from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     Graph,
     bounded_ball,
     distance_to_set,
     edge,
+    _ball,
+    _bfs,
     _gather_neighbors,
     _induced_edge_from_mask,
 )
@@ -112,51 +114,83 @@ def matched_vertices(m: KMatching) -> list[int]:
     return sorted({v for e in m.edges for v in e})
 
 
+def _matched_distance(g: Graph, m: KMatching, cap: int) -> Optional[np.ndarray]:
+    """Distance from every vertex to the matched vertices, truncated at
+    ``cap`` as ``distance_to_set`` gives it, or None when m is not a
+    k-matching of g.  ``cap`` must be at least max(k-1, 1).
+
+    One multi-source BFS from the matched vertices labels each vertex with
+    the member that owns a nearest matched vertex.  Two members lie within
+    endpoint distance k-1 exactly when some graph edge (x, y) joins
+    vertices of different owners with dist[x] + 1 + dist[y] <= k-1: a
+    shortest path between the two members changes owner along some edge,
+    and the labelled distances on either side of it are at most the path's
+    lengths to its ends (the Voronoi boundary-edge test of Mehlhorn, IPL
+    1988).  Such an edge has an endpoint at distance <= (k-2)//2, so only
+    the neighbours of those vertices are scanned; the same scan finds each
+    member's own edge and, by counting them, shared endpoints.
+    """
+    k = m.k
+    try:
+        pairs = np.array(list(m.edges), dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return None  # a member beyond any vertex id
+    mu, mv = pairs[:, 0], pairs[:, 1]
+    if not np.all((0 <= mu) & (mu < mv) & (mv < g.n)):
+        return None  # malformed member
+    src = np.concatenate([mu, mv])
+    owner = np.full(g.n, -1, dtype=np.int32)
+    owner[src] = np.tile(np.arange(mu.size, dtype=np.int32), 2)
+    dist = _bfs(g, src, cap, owner)
+    partner = np.full(g.n, -1, dtype=np.int64)
+    partner[mu], partner[mv] = mv, mu
+    near = np.flatnonzero(dist <= max(k - 2, 0) // 2)
+    x = np.repeat(near, g.indptr[near + 1] - g.indptr[near])
+    y = _gather_neighbors(g, near)
+    # at most one hit per distinct matched vertex: fewer than 2|m| hits
+    # mean a member is not an edge or two members share an endpoint
+    if np.count_nonzero(y == partner[x]) < src.size:
+        return None
+    close = dist[x] + dist[y] <= k - 2
+    if np.any(owner[x[close]] != owner[y[close]]):
+        return None
+    return dist
+
+
 def is_k_matching(g: Graph, m: KMatching) -> bool:
     """True iff every member is an edge of g and every two members have
-    minimum endpoint distance >= k.  Malformed members yield False."""
-    members = m.sorted_edges()
-    if not members:
-        return True
-    verts = []
-    for u, v in members:
-        if not (0 <= u < v < g.n) or not g.has_edge(u, v):
-            return False
-        verts.extend((u, v))
-    if len(set(verts)) != len(verts):
-        return False  # shared endpoint: distance 0
-    if len(members) == 1:
-        return True
-    mask = np.zeros(g.n, dtype=bool)
-    mask[verts] = True
-    radius = m.k - 1
-    for u, v in members:
-        for w in bounded_ball(g, (u, v), radius):
-            if mask[w] and w != u and w != v:
-                return False
-    return True
+    minimum endpoint distance >= k.  Malformed members yield False.
+
+    Checked in one owner-labelled BFS from the matched vertices; see
+    ``_matched_distance`` for the boundary-edge test.
+    """
+    return _matched_distance(g, m, max(m.k - 1, 1)) is not None
+
+
+def _far_mask(g: Graph, m: KMatching) -> np.ndarray:
+    """Vertices at distance >= k from the matched set, from the same pass
+    that validates m; raises InvalidMatchingError if m is not a k-matching
+    of g."""
+    dist = _matched_distance(g, m, m.k)
+    if dist is None:
+        raise InvalidMatchingError("not a k-matching of this graph")
+    return dist == m.k
 
 
 def is_maximal_k_matching(g: Graph, m: KMatching) -> bool:
     """True iff no edge of g can be added: every edge has an endpoint
     within distance k-1 of a matched vertex.  Raises InvalidMatchingError
     when m is not a k-matching of g."""
-    if not is_k_matching(g, m):
-        raise InvalidMatchingError("not a k-matching of this graph")
-    if g.edge_count == 0:
-        return True
-    far = distance_to_set(g, matched_vertices(m), m.k) == m.k
-    return not bool(np.any(far[g.eu] & far[g.ev]))
+    return _induced_edge_from_mask(g, _far_mask(g, m)) is None
 
 
 def gamma_independence_check(g: Graph, m: KMatching) -> bool:
     """For a maximal k-matching the vertices at distance >= k from the
     matched set induce no edge; exposed as a test hook.  Raises
     InvalidMatchingError if m is not maximal."""
-    if not is_maximal_k_matching(g, m):
+    if _induced_edge_from_mask(g, _far_mask(g, m)) is not None:
         raise InvalidMatchingError("not a maximal k-matching of this graph")
-    far = distance_to_set(g, matched_vertices(m), m.k) == m.k
-    return _induced_edge_from_mask(g, far) is None
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +205,13 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
     whose endpoints are still at distance >= k from all kept edges.
 
     A vertex once within distance k-1 of the matching stays so, which lets
-    the scan discard blocked edges in vectorized chunks; the output is
-    always a maximal k-matching.
+    the scan discard blocked edges in vectorized chunks; after each chunk,
+    while more than a chunk of the order remains, the rest of the order is
+    compacted to the edges with no blocked endpoint.  Dropped edges would
+    be skipped anyway and the kept ones keep their order, so the output is
+    the plain sequential scan's.  A kept edge blocks its radius-(k-1) ball,
+    gathered from the CSR arrays.  The output is always a maximal
+    k-matching.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -180,11 +219,11 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
     if m == 0:
         return KMatching(k, frozenset())
     rng = np.random.default_rng(np.random.PCG64(seed))
-    order = rng.permutation(m)
+    rest = rng.permutation(m)
     blocked = np.zeros(g.n, dtype=bool)
     chosen: list[tuple[int, int]] = []
-    for start in range(0, m, _SCAN_CHUNK):
-        idx = order[start : start + _SCAN_CHUNK]
+    while rest.size:
+        idx = rest[:_SCAN_CHUNK]
         cu = g.eu[idx]
         cv = g.ev[idx]
         live = ~(blocked[cu] | blocked[cv])
@@ -192,7 +231,16 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
             if blocked[u] or blocked[v]:
                 continue
             chosen.append((u, v))
-            blocked[bounded_ball(g, (u, v), k - 1)] = True
+            blocked[_ball(g, (u, v), k - 1)] = True
+        rest = rest[_SCAN_CHUNK:]
+        if rest.size > _SCAN_CHUNK:
+            if 6 * rest.size > m:
+                # cheaper to read the edge arrays in order than to gather
+                # them in scan order
+                keep = ~(blocked[g.eu] | blocked[g.ev])[rest]
+            else:
+                keep = ~(blocked[g.eu[rest]] | blocked[g.ev[rest]])
+            rest = rest[keep]
     return KMatching(k, frozenset(chosen))
 
 
@@ -205,9 +253,9 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
 class GeneratorConfig:
     """Settings for ``generator_algorithm``.
 
-    ``s_override`` fixes the target size; otherwise s is computed from the
-    graph's mean degree via the pair-target formula, floored and clamped
-    to >= 1.  ``max_repair_iterations`` defaults to max(10*s, 1000).
+    ``s_override`` fixes the target size; otherwise s is
+    ``default_pair_count`` at the graph's mean degree.
+    ``max_repair_iterations`` defaults to max(10*s, 1000).
     """
 
     k: int
@@ -227,11 +275,10 @@ class GeneratorConfig:
 _REJECTION_TRIES = 256
 
 
-def default_pair_count(g: Graph, k: int) -> int:
-    """Floor of the pair-target formula at the graph's mean degree,
-    clamped to >= 1."""
-    d = g.mean_degree()
-    params = analytic.AsymptoticParams.from_nd(g.n, d, k)
+def default_pair_count(params: analytic.AsymptoticParams) -> int:
+    """The generator's pair count s: floor of the pair-target formula at
+    (n, d, k), clamped to >= 1.  A graph sampled at a configured degree
+    takes that d; a given graph takes its mean degree."""
     return max(1, math.floor(analytic.generator_pair_target(params)))
 
 
@@ -253,7 +300,10 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
     iteration budget is exhausted.
     """
     k = cfg.k
-    s = cfg.s_override if cfg.s_override is not None else default_pair_count(g, k)
+    s = cfg.s_override
+    if s is None:
+        params = analytic.AsymptoticParams.from_nd(g.n, g.mean_degree(), k)
+        s = default_pair_count(params)
     if 2 * s > g.n:
         raise ValueError(f"need 2s={2 * s} <= n={g.n} distinct vertices")
     max_iter = (
@@ -266,16 +316,12 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
     pu = np.minimum(draw[0::2], draw[1::2]).astype(np.int64)
     pv = np.maximum(draw[0::2], draw[1::2]).astype(np.int64)
     # selected vertices stay distinct (drawn without replacement, inserted
-    # from F); each adds 1 over its ball, deduplicated at every level so a
-    # ball grows with its vertex count, not with its number of walks
+    # from F); each adds 1 over its ball, where a repeated index adds once
     cover = np.zeros(g.n, dtype=np.int32)
 
     def shift(i: int, step: int) -> None:
         for x in (int(pu[i]), int(pv[i])):
-            ball = np.concatenate(([x], g.neighbors(x)))
-            for _ in range(k - 2):
-                ball = np.unique(np.concatenate([ball, _gather_neighbors(g, ball)]))
-            cover[ball] += step
+            cover[_ball(g, (x,), k - 1)] += step
 
     for i in range(s):
         shift(i, 1)

@@ -121,6 +121,43 @@ class TestMatchingCommands:
         assert code == 0
         assert out.startswith("size 5")
 
+    def test_generator_and_experiment_share_pair_count(self, capsys):
+        # the sampled graph's mean degree (19.97) would give s = 774; a
+        # graph sampled from --n and --d takes s from the configured d in
+        # both commands
+        cfg = km.experiments.TrialConfig(
+            n=10**5, k=2, trials=1, base_seed=4, algorithm="generator", d=20.0
+        )
+        s = km.experiments._generator_target(cfg)
+        assert s == 775
+        code, out, _ = run(
+            capsys, "generator", "--n", "1e5", "--d", "20", "--k", "2", "--seed", "4"
+        )
+        assert code == 0
+        assert out.startswith(f"size {s}\n")
+        code, out, _ = run(
+            capsys,
+            "experiment", "--n", "1e5", "--d", "20", "--k", "2",
+            "--trials", "1", "--seed", "4", "--algorithm", "generator",
+        )
+        assert code == 0
+        row = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+        assert row["matching_size"] == str(s)
+
+    def test_generator_on_file_takes_mean_degree(self, capsys, tmp_path):
+        from kmatch.matching import default_pair_count
+
+        g = km.sample_gnp(km.GnpParams(4000, 8.0 / 4000, 2))
+        path = tmp_path / "g.edges"
+        km.write_edge_list(g, str(path))
+        code, out, _ = run(
+            capsys, "generator", "--input", str(path), "--k", "2", "--seed", "3"
+        )
+        params = km.analytic.AsymptoticParams.from_nd(g.n, g.mean_degree(), 2)
+        s = default_pair_count(params)
+        assert code == 0
+        assert out.startswith(f"size {s}\n")
+
     def test_exact_on_file(self, capsys, tmp_path):
         path = tmp_path / "g.edges"
         km.write_edge_list(km.path_graph(7), str(path))

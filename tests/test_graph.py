@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kmatch as km
-from kmatch.graph import UNREACHABLE, GnpParams, bounded_ball, distance_to_set
+from kmatch.graph import UNREACHABLE, GnpParams, _ball, bounded_ball, distance_to_set
 
 
 def test_edge_normalizes_and_rejects_loops():
@@ -59,6 +60,34 @@ class TestSampling:
         g = km.sample_gnp(GnpParams(10_000, 0.001, 1))
         assert g.edge_count == 50042  # frozen for this generator
         assert abs(g.edge_count - 49995.0) <= 5 * math.sqrt(49995.0)
+
+    @pytest.mark.parametrize(
+        "n, p, seed, m, digest",
+        # (n, p, seed, edge count, sha256 prefix of the dtypes and bytes of
+        # indptr, indices, eu and ev) as sampled by the previous decode (one
+        # offset search per pair) and CSR build (COO rows [eu, ev], then an
+        # index sort)
+        [
+            (0, 0.7, 1, 0, "4dcfbf1083ea4687"),
+            (1, 0.7, 1, 0, "7c829b9eaac18ce2"),
+            (50, 0.0, 3, 0, "fc7279648293d2a9"),
+            (30, 1.0, 5, 435, "2fe5cbe98113cee7"),
+            (2, 1.0, 8, 1, "f003bb4772c89279"),
+            (1000, 1e-19, 1, 0, "8677609170e6c584"),
+            (1000, 1e-06, 2, 1, "449394c922349bf1"),
+            (500, 0.05, 42, 6331, "d24845e5a9b9738c"),
+            (2000, 0.004, 7, 7996, "737ea29ff9edabb6"),
+            (3000, 0.01, 123, 45194, "2e9b91ee9de1bac3"),
+            (100000, 0.0002, 3, 999194, "51aef85f0307f2bd"),
+        ],
+    )
+    def test_arrays_pinned(self, n, p, seed, m, digest):
+        g = km.sample_gnp(GnpParams(n, p, seed))
+        h = hashlib.sha256()
+        for a in (g.indptr, g.indices, g.eu, g.ev):
+            h.update(a.dtype.str.encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert (g.edge_count, h.hexdigest()[:16]) == (m, digest)
 
     def test_adjacency_is_symmetric_and_sorted(self):
         g = km.sample_gnp(GnpParams(60, 0.2, 7))
@@ -250,6 +279,17 @@ def test_bounded_ball_radius_zero_and_growth():
     assert sorted(bounded_ball(g, (2,), 0)) == [2]
     assert sorted(bounded_ball(g, (2,), 1)) == [1, 2, 3]
     assert sorted(bounded_ball(g, (0, 5), 1)) == [0, 1, 4, 5]
+
+
+@given(st.integers(0, 10**6), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_ball_matches_bounded_ball(seed, radius):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    g = km.sample_gnp(GnpParams(n, float(rng.uniform(0.02, 0.4)), seed))
+    size = int(rng.integers(1, 3))
+    seeds = tuple(int(v) for v in rng.choice(n, size=size, replace=False))
+    assert set(_ball(g, seeds, radius).tolist()) == set(bounded_ball(g, seeds, radius))
 
 
 def test_distance_to_set_matches_bfs():

@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kmatch as km
+from kmatch.analytic import AsymptoticParams
 from kmatch.graph import GnpParams, bounded_ball, distance_to_set
 from kmatch.matching import (
     _REJECTION_TRIES,
+    _SCAN_CHUNK,
     GeneratorConfig,
     GeneratorStalled,
     InstanceTooLargeError,
     InvalidMatchingError,
     KMatching,
     default_pair_count,
+    matched_vertices,
 )
 
 
@@ -41,7 +44,9 @@ def reference_generator_algorithm(g, cfg):
     library once reported far_size -1 on the budget path; here |F| is
     computed from scratch there too."""
     k = cfg.k
-    s = cfg.s_override if cfg.s_override is not None else default_pair_count(g, k)
+    s = cfg.s_override
+    if s is None:
+        s = default_pair_count(AsymptoticParams.from_nd(g.n, g.mean_degree(), k))
     if 2 * s > g.n:
         raise ValueError(f"need 2s={2 * s} <= n={g.n} distinct vertices")
     max_iter = (
@@ -111,6 +116,67 @@ def reference_generator_algorithm(g, cfg):
     )
 
 
+def reference_greedy_k_matching(g, k, seed):
+    """Reference greedy scan: the seeded permutation walked in chunks with
+    no compaction, each kept edge blocking its ``bounded_ball``.  It
+    consumes the RNG exactly as ``greedy_k_matching`` must."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    m = g.edge_count
+    if m == 0:
+        return KMatching(k, frozenset())
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    order = rng.permutation(m)
+    blocked = np.zeros(g.n, dtype=bool)
+    chosen = []
+    for start in range(0, m, _SCAN_CHUNK):
+        idx = order[start : start + _SCAN_CHUNK]
+        cu = g.eu[idx]
+        cv = g.ev[idx]
+        live = ~(blocked[cu] | blocked[cv])
+        for u, v in zip(cu[live].tolist(), cv[live].tolist()):
+            if blocked[u] or blocked[v]:
+                continue
+            chosen.append((u, v))
+            blocked[bounded_ball(g, (u, v), k - 1)] = True
+    return KMatching(k, frozenset(chosen))
+
+
+def reference_is_k_matching(g, m):
+    """Reference validator: one Python ball of radius k-1 per member."""
+    members = m.sorted_edges()
+    if not members:
+        return True
+    verts = []
+    for u, v in members:
+        if not (0 <= u < v < g.n) or not g.has_edge(u, v):
+            return False
+        verts.extend((u, v))
+    if len(set(verts)) != len(verts):
+        return False  # shared endpoint: distance 0
+    if len(members) == 1:
+        return True
+    mask = np.zeros(g.n, dtype=bool)
+    mask[verts] = True
+    radius = m.k - 1
+    for u, v in members:
+        for w in bounded_ball(g, (u, v), radius):
+            if mask[w] and w != u and w != v:
+                return False
+    return True
+
+
+def networkx_is_maximal(g, m):
+    """Maximality from networkx distances: every edge has an endpoint
+    within distance k-1 of a matched vertex."""
+    nxg = nx.Graph(list(g.edges()))
+    nxg.add_nodes_from(range(g.n))
+    near = set()
+    for w in matched_vertices(m):
+        near.update(nx.single_source_shortest_path_length(nxg, w, cutoff=m.k - 1))
+    return all(u in near or v in near for u, v in g.edges())
+
+
 def generator_outcome(fn, g, cfg):
     """The matching ``fn`` builds, or the message, iteration count and |F|
     of the GeneratorStalled it raises."""
@@ -145,6 +211,7 @@ class TestIsKMatching:
         g = km.path_graph(4)
         assert not km.is_k_matching(g, KMatching.of(2, [(0, 2)]))  # non-edge
         assert not km.is_k_matching(g, KMatching.of(2, [(0, 9)]))  # out of range
+        assert not km.is_k_matching(g, KMatching.of(2, [(0, 2**70)]))
 
     def test_matches_pairwise_edge_distance(self):
         # definition check: pairwise edge distance >= k+1, i.e. min
@@ -347,13 +414,143 @@ class TestGenerator:
         g = km.sample_gnp(GnpParams(100_000, 20.0 / 100_000, 3))
         # empirical mean degree is close to 20 so the floor lands at the
         # formula value for nominal d=20 (775) plus or minus a few
-        assert abs(default_pair_count(g, 2) - 775) <= 5
+        params = AsymptoticParams.from_nd(g.n, g.mean_degree(), 2)
+        assert abs(default_pair_count(params) - 775) <= 5
+        assert default_pair_count(AsymptoticParams.from_nd(g.n, 20.0, 2)) == 775
 
     def test_too_many_pairs_rejected(self):
         with pytest.raises(ValueError):
             km.generator_algorithm(
                 km.complete_graph(4), GeneratorConfig(k=2, seed=0, s_override=3)
             )
+
+
+class TestGreedyAgainstReference:
+    """``greedy_k_matching`` compacts the scan order and gathers balls from
+    the CSR arrays; it must keep exactly the edges the plain chunked scan
+    with Python balls keeps."""
+
+    @pytest.mark.parametrize(
+        "n, d, ks",
+        # 60000 at d=12 has over 5 chunks of edges, so the rest of the order
+        # is compacted several times; 10^5 at d=20 and k=1 leaves more than a
+        # chunk after the first compaction, so the later ones gather
+        [
+            (2000, 6.0, (1, 2, 3, 4)),
+            (60000, 12.0, (1, 2, 3, 4)),
+            (100_000, 20.0, (1,)),
+        ],
+    )
+    def test_seed_grid(self, n, d, ks):
+        g = km.sample_gnp(GnpParams(n, d / n, 7))
+        if n == 60000:
+            assert g.edge_count >= 5 * _SCAN_CHUNK
+        for k in ks:
+            for seed in range(3):
+                got = km.greedy_k_matching(g, k, seed)
+                assert got == reference_greedy_k_matching(g, k, seed), (k, seed)
+
+    @pytest.mark.parametrize(
+        "g",
+        [km.path_graph(200), km.from_edges(5, []), km.complete_graph(12)],
+        ids=["path", "edgeless", "complete"],
+    )
+    def test_special_graphs(self, g):
+        for k in (1, 2, 3, 4):
+            for seed in range(4):
+                got = km.greedy_k_matching(g, k, seed)
+                assert got == reference_greedy_k_matching(g, k, seed), (k, seed)
+
+    @given(
+        st.integers(2, 60),
+        st.floats(0.02, 0.6),
+        st.integers(1, 4),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_small_gnp(self, n, p, k, seed):
+        g = km.sample_gnp(GnpParams(n, p, seed))
+        got = km.greedy_k_matching(g, k, seed)
+        assert got == reference_greedy_k_matching(g, k, seed)
+
+
+@st.composite
+def graph_and_members(draw):
+    """A small G(n,p), a k, and a member set mixing graph edges, non-edges,
+    shared endpoints, out-of-range and unnormalized pairs, and edge pairs
+    whose endpoint distance is exactly k-1 or exactly k."""
+    n = draw(st.integers(2, 25))
+    p = draw(st.floats(0.05, 0.6))
+    g = km.sample_gnp(GnpParams(n, p, draw(st.integers(0, 2**32))))
+    k = draw(st.integers(1, 4))
+    edges = list(g.edges())
+    vertex = st.integers(0, n - 1)
+    member = st.one_of(
+        st.tuples(vertex, vertex),  # non-edges, unnormalized, loops
+        st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2)),
+        *([st.sampled_from(edges)] * 3 if edges else []),  # mostly edges
+    )
+    members = set(draw(st.lists(member, max_size=6)))
+    if edges and draw(st.booleans()):
+        nxg = nx.Graph(edges)
+        e = draw(st.sampled_from(edges))
+        dist = {}
+        for x in e:
+            for w, l in nx.single_source_shortest_path_length(nxg, x).items():
+                dist[w] = min(l, dist.get(w, l))
+        target = draw(st.sampled_from([k - 1, k]))
+        at = [f for f in edges if min(dist.get(f[0], n), dist.get(f[1], n)) == target]
+        if at:
+            members |= {e, draw(st.sampled_from(at))}
+    return g, KMatching(k, frozenset(members))
+
+
+class TestValidatorsAgainstReference:
+    """``is_k_matching`` runs one owner-labelled BFS and the boundary-edge
+    test; it must agree with the per-member Python balls.  Maximality is
+    checked against networkx distances."""
+
+    @given(graph_and_members())
+    @settings(max_examples=400, deadline=None)
+    def test_is_k_matching(self, case):
+        g, m = case
+        assert km.is_k_matching(g, m) == reference_is_k_matching(g, m)
+
+    @given(graph_and_members())
+    @settings(max_examples=200, deadline=None)
+    def test_maximality(self, case):
+        g, m = case
+        if not reference_is_k_matching(g, m):
+            with pytest.raises(InvalidMatchingError):
+                km.is_maximal_k_matching(g, m)
+            return
+        maximal = networkx_is_maximal(g, m)
+        assert km.is_maximal_k_matching(g, m) == maximal
+        if maximal:
+            assert km.gamma_independence_check(g, m)
+        else:
+            with pytest.raises(InvalidMatchingError):
+                km.gamma_independence_check(g, m)
+
+    def test_endpoint_distance_k_minus_one_and_k(self):
+        # on a path, (0,1) and (j,j+1) have endpoint distance j-1
+        g = km.path_graph(12)
+        for k in (1, 2, 3, 4):
+            at_k = KMatching.of(k, [(0, 1), (k + 1, k + 2)])
+            at_k_minus_one = KMatching.of(k, [(0, 1), (k, k + 1)])
+            assert km.is_k_matching(g, at_k) and reference_is_k_matching(g, at_k)
+            assert not km.is_k_matching(g, at_k_minus_one)
+            assert not reference_is_k_matching(g, at_k_minus_one)
+
+    def test_greedy_output_on_larger_graph(self):
+        g = km.sample_gnp(GnpParams(3000, 8.0 / 3000, 5))
+        for k in (1, 2, 3):
+            m = km.greedy_k_matching(g, k, 3)
+            assert km.is_k_matching(g, m) and reference_is_k_matching(g, m)
+            assert km.is_maximal_k_matching(g, m) == networkx_is_maximal(g, m) is True
+            smaller = KMatching(k, m.edges - {m.sorted_edges()[0]})
+            expected = networkx_is_maximal(g, smaller)
+            assert km.is_maximal_k_matching(g, smaller) == expected
 
 
 class TestGeneratorAgainstReference:
