@@ -69,8 +69,7 @@ class AsymptoticParams:
     p_d: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _require_vertices(self.n)
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if not 0.0 <= self.p <= 1.0:
@@ -83,12 +82,19 @@ class AsymptoticParams:
 
     @classmethod
     def from_nd(cls, n: int, d: float, k: int) -> "AsymptoticParams":
+        _require_vertices(n)
         return cls(n=n, d=d, p=d / n, k=k, p_d=d ** (k - 1) / n)
 
     @classmethod
     def from_np(cls, n: int, p: float, k: int) -> "AsymptoticParams":
+        _require_vertices(n)
         d = n * p
         return cls(n=n, d=d, p=p, k=k, p_d=d ** (k - 1) / n)
+
+
+def _require_vertices(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
 
 def _require_sparse(params: AsymptoticParams) -> None:

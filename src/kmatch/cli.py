@@ -52,6 +52,15 @@ def _add_graph_source(p: argparse.ArgumentParser, need_seed: bool = True) -> Non
     )
 
 
+def _add_scale(p: argparse.ArgumentParser) -> None:
+    """--n, exactly one of --d and --p, and --k."""
+    p.add_argument("--n", type=_count, required=True)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--d", type=float)
+    group.add_argument("--p", type=float)
+    p.add_argument("--k", type=int, required=True)
+
+
 def _resolve_graph(args: argparse.Namespace):
     if args.input:
         return read_edge_list(args.input)
@@ -175,15 +184,13 @@ def _cmd_oracle(args) -> int:
         if args.m is None:
             raise SystemExit2("--event xm needs --m")
         value = oracle.exact_expected_Xm(args.n, args.p, args.k, args.m)
-    elif args.event == "umk":
+    else:  # umk; argparse restricts the choices
         value = {
             str(size): prob
             for size, prob in oracle.exact_umk_distribution(
                 args.n, args.p, args.k
             ).items()
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit2(f"unknown event {args.event}")
     print(
         json.dumps(
             {"event": args.event, "n": args.n, "p": args.p, "k": args.k, "value": value}
@@ -208,7 +215,6 @@ def _trial_config(args, algorithm: str) -> experiments.TrialConfig:
         algorithm=algorithm,
         d=args.d,
         p=args.p,
-        output_path=getattr(args, "out", None),
         measure_runtime=getattr(args, "measure_runtime", False),
         s_override=getattr(args, "s", None),
     )
@@ -228,19 +234,14 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_theorem51(args) -> int:
+def _cmd_sampled_sets(args) -> int:
+    """theorem51 and layers: statistics of random 2s-sets."""
+    verify = {
+        "theorem51": experiments.verify_theorem_5_1,
+        "layers": experiments.verify_layer_growth,
+    }[args.command]
     cfg = _trial_config(args, "generator")
-    records, summary = experiments.verify_theorem_5_1(cfg, args.samples)
-    text = experiments.emit(records, summary, args.format, args.out, cfg)
-    if not args.out:
-        sys.stdout.write(text)
-    print(json.dumps(asdict(summary)), file=sys.stderr)
-    return 0
-
-
-def _cmd_layers(args) -> int:
-    cfg = _trial_config(args, "generator")
-    records, summary = experiments.verify_layer_growth(cfg, args.samples)
+    records, summary = verify(cfg, args.samples)
     text = experiments.emit(records, summary, args.format, args.out, cfg)
     if not args.out:
         sys.stdout.write(text)
@@ -301,11 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds",
         help="print the closed-form size bounds at (n, d, k)",
     )
-    p.add_argument("--n", type=_count, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--d", type=float)
-    group.add_argument("--p", type=float)
-    p.add_argument("--k", type=int, required=True)
+    _add_scale(p)
     p.add_argument("--eps", type=float, default=0.1, help="slack in the m* cutoff")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
@@ -331,11 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("experiment", help="seeded Monte Carlo trials")
-    p.add_argument("--n", type=_count, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--d", type=float)
-    group.add_argument("--p", type=float)
-    p.add_argument("--k", type=int, required=True)
+    _add_scale(p)
     p.add_argument("--trials", type=_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--algorithm", required=True, choices=list(experiments.ALGORITHMS))
@@ -349,37 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser(
-        "theorem51",
-        help="measure far-set size and induced-edge frequency for random 2s-sets",
-    )
-    p.add_argument("--n", type=_count, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--d", type=float)
-    group.add_argument("--p", type=float)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=_count, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--s", type=int, help="pair-count override")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_theorem51)
-
-    p = sub.add_parser(
-        "layers",
-        help="measure |{v : d(v,S)=i}| / (2 s d^i) growth for random 2s-sets",
-    )
-    p.add_argument("--n", type=_count, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--d", type=float)
-    group.add_argument("--p", type=float)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=_count, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--s", type=int, help="pair-count override")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_layers)
+    for name, text in (
+        ("theorem51", "measure far-set size and induced-edge frequency for random 2s-sets"),
+        ("layers", "measure |{v : d(v,S)=i}| / (2 s d^i) growth for random 2s-sets"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_scale(p)
+        p.add_argument("--samples", type=_count, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--s", type=int, help="pair-count override")
+        p.add_argument("--format", default="csv", choices=["csv", "json"])
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_sampled_sets)
 
     return parser
 

@@ -96,7 +96,6 @@ class TrialConfig:
     algorithm: str
     d: Optional[float] = None
     p: Optional[float] = None
-    output_path: Optional[str] = None
     measure_runtime: bool = False
     s_override: Optional[int] = None
     max_repair_iterations: Optional[int] = None

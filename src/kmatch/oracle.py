@@ -1,12 +1,15 @@
 """Exact probabilities over all labeled graphs on at most 6 vertices.
 
-Every graph on n vertices is a bitmask over the C(n,2) vertex-pair slots in
-lexicographic order, and the G(n,p) measure of an event is the sum of
-p^|E| (1-p)^(C(n,2)-|E|) over the satisfying masks.  The mask space is
-walked in fixed contiguous partitions and each partial sum uses error-free
-float summation (math.fsum), so results are deterministic and exact up to
-the final rounding; pass a Fraction p with ``exact=True`` to get exact
-rational values instead.
+A graph on n vertices is a bitmask over the N = C(n,2) vertex-pair slots in
+lexicographic order, and an event's G(n,p) probability is
+sum_j c_j p^j (1-p)^(N-j), where c_j counts the satisfying masks with j
+edges.  The built-in events are boolean vectors over all 2^N masks at once,
+decided by bit BFS on per-vertex neighbor bitmasks, and c is a bincount of
+their edge counts; ``exact_event_probability`` calls a predicate per mask
+instead.  With ``exact=True`` the sum is exact in Fraction(p); otherwise it
+is the correctly rounded sum of c_j w_j over the float weights
+w_j = float(p)^j (1-float(p))^(N-j).  G(n,p) is exchangeable, so E[X_m] is
+the number of size-m matchings of K_n times the probability of one of them.
 
 These values calibrate the closed-form main terms: those omit exp[O(.)]
 corrections, the oracle does not.
@@ -14,15 +17,17 @@ corrections, the oracle does not.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
+
+import numpy as np
 
 from .analytic import PairProfile
 from .graph import Graph, from_edges
-from .matching import exact_um_k
+# Unused here: bench/run.py traces kmatch.oracle.exact_um_k by name.
+from .matching import exact_um_k  # noqa: F401
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -40,8 +45,6 @@ __all__ = [
 #: Hard enumeration cap: 2^C(6,2) = 32768 masks.  Larger n is refused
 #: rather than silently approximated.
 MAX_ORACLE_N = 6
-
-_PARTITION = 1 << 12
 
 
 def _check_n(n: int) -> None:
@@ -107,6 +110,50 @@ class MaskGraph:
         return from_edges(self.n, self.edges())
 
 
+@lru_cache(maxsize=None)
+def _mask_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(adj, edges) over all 2^N masks: adj[u, mask] is u's neighbor bitmask
+    in that mask (a byte, as n <= 6) and edges[mask] its edge count."""
+    masks = np.arange(1 << len(pair_slots(n)), dtype=np.int32)
+    adj = np.zeros((n, masks.size), dtype=np.uint8)
+    edges = np.zeros(masks.size, dtype=np.intp)
+    for slot, (u, v) in enumerate(pair_slots(n)):
+        bit = (masks >> slot & 1).astype(np.uint8)
+        adj[u] |= bit << v
+        adj[v] |= bit << u
+        edges += bit
+    adj.flags.writeable = edges.flags.writeable = False
+    return adj, edges
+
+
+def _ball(adj: np.ndarray, vertices: Iterable[int], radius: int) -> np.ndarray:
+    """Bitmask of the vertices within ``radius`` (no ball grows past n - 1) of
+    ``vertices`` in every mask: MaskGraph.distance_at_least's bit BFS, vectorized."""
+    ball = np.full(adj.shape[1], sum(1 << x for x in vertices), dtype=np.uint8)
+    for _ in range(min(radius, len(adj) - 1)):
+        grown = ball.copy()
+        for v in range(len(adj)):
+            grown |= adj[v] * (ball >> v & 1)
+        ball = grown
+    return ball
+
+
+def _histogram(n: int, event: np.ndarray) -> np.ndarray:
+    """c_j: the number of masks with j edges where ``event`` holds."""
+    return np.bincount(_mask_tables(n)[1][event], minlength=len(pair_slots(n)) + 1)
+
+
+def _evaluate(counts: Sequence[int], p, exact: bool) -> Union[float, Fraction]:
+    """sum_j counts[j] p^j (1-p)^(N-j), N = len(counts) - 1: exact, or over
+    the float weights float(p)^j (1-float(p))^(N-j) and rounded once."""
+    top = len(counts) - 1
+    q = Fraction(p) if exact else float(p)
+    total = sum(
+        int(c) * Fraction(q**j * (1 - q) ** (top - j)) for j, c in enumerate(counts)
+    )
+    return total if exact else float(total)
+
+
 def exact_event_probability(
     n: int,
     p: Union[float, Fraction],
@@ -122,26 +169,11 @@ def exact_event_probability(
     """
     _check_n(n)
     slots = len(pair_slots(n))
-    if exact:
-        pf = Fraction(p)
-        weights = [pf**j * (1 - pf) ** (slots - j) for j in range(slots + 1)]
-        total = Fraction(0)
-        for mask in range(1 << slots):
-            if predicate(MaskGraph(n, mask)):
-                total += weights[mask.bit_count()]
-        return total
-    pw = [float(p) ** j * (1.0 - float(p)) ** (slots - j) for j in range(slots + 1)]
-    partials = []
-    for start in range(0, 1 << slots, _PARTITION):
-        stop = min(start + _PARTITION, 1 << slots)
-        partials.append(
-            math.fsum(
-                pw[mask.bit_count()]
-                for mask in range(start, stop)
-                if predicate(MaskGraph(n, mask))
-            )
-        )
-    return math.fsum(partials)
+    counts = [0] * (slots + 1)
+    for mask in range(1 << slots):
+        if predicate(MaskGraph(n, mask)):
+            counts[mask.bit_count()] += 1
+    return _evaluate(counts, p, exact)
 
 
 def exact_prob_distance_ge_k(
@@ -157,10 +189,9 @@ def exact_prob_distance_ge_k(
     _check_n(n)
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("vertex out of range")
-    su, sv = 1 << u, 1 << v
-    return exact_event_probability(
-        n, p, lambda g: g.distance_at_least(su, sv, k), exact=exact
-    )
+    adj, _ = _mask_tables(n)
+    event = (k <= 0) | (_ball(adj, [u], k - 1) >> v & 1 == 0)
+    return _evaluate(_histogram(n, event), p, exact)
 
 
 def _normalize_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -178,6 +209,20 @@ def _normalize_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[
     return sorted(out)
 
 
+def _k_matching_event(n: int, k: int, members, balls=None) -> np.ndarray:
+    """The masks where every member edge is present and no member's radius-(k-1)
+    ball (``balls[edge]`` when given) holds an endpoint of a later member."""
+    adj, _ = _mask_tables(n)
+    if balls is None:
+        balls = {e: _ball(adj, e, k - 1) for e in members}
+    event = np.ones(adj.shape[1], dtype=bool)
+    for u, v in members:
+        event &= (adj[u] >> v & 1) != 0
+    for e, (u, v) in combinations(members, 2):
+        event &= (balls[e] >> u | balls[e] >> v) & 1 == 0
+    return event
+
+
 def exact_prob_k_matching(
     n: int,
     p: Union[float, Fraction],
@@ -190,19 +235,7 @@ def exact_prob_k_matching(
     set are present and pairwise at endpoint distance >= k."""
     _check_n(n)
     members = _normalize_matching(n, matching)
-    pair_bits = [(1 << u) | (1 << v) for u, v in members]
-
-    def pred(g: MaskGraph) -> bool:
-        for u, v in members:
-            if not g.has_edge(u, v):
-                return False
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if not g.distance_at_least(pair_bits[i], pair_bits[j], k):
-                    return False
-        return True
-
-    return exact_event_probability(n, p, pred, exact=exact)
+    return _evaluate(_histogram(n, _k_matching_event(n, k, members)), p, exact)
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +244,7 @@ def enumerate_matchings(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ..
     _check_n(n)
     out = []
     for combo in combinations(pair_slots(n), m):
-        verts = [x for e in combo for x in e]
-        if len(set(verts)) == 2 * m:
+        if len({x for e in combo for x in e}) == 2 * m:
             out.append(combo)
     return tuple(out)
 
@@ -220,17 +252,17 @@ def enumerate_matchings(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ..
 def exact_expected_Xm(
     n: int, p: Union[float, Fraction], k: int, m: int, *, exact: bool = False
 ) -> Union[float, Fraction]:
-    """Exact E[number of size-m k-matchings of G]: the sum over all size-m
-    matchings of K_n of their exact k-matching probability (equivalently
-    the graph-average of the per-graph count)."""
+    """Exact E[number of size-m k-matchings of G]: the number of size-m
+    matchings of K_n times the exact k-matching probability of one of them,
+    since G(n,p) is exchangeable."""
     _check_n(n)
     if m == 0:
         return Fraction(1) if exact else 1.0
-    terms = [
-        exact_prob_k_matching(n, p, k, mm, exact=exact)
-        for mm in enumerate_matchings(n, m)
-    ]
-    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
+    matchings = enumerate_matchings(n, m)
+    if not matchings:
+        return Fraction(0) if exact else 0.0
+    event = _k_matching_event(n, k, matchings[0])
+    return _evaluate(len(matchings) * _histogram(n, event), p, exact)
 
 
 def exact_pair_profile_table(n: int, m: int) -> dict[PairProfile, int]:
@@ -243,13 +275,7 @@ def exact_pair_profile_table(n: int, m: int) -> dict[PairProfile, int]:
         raise ValueError("profile enumeration is kept to m <= 2")
     matchings = enumerate_matchings(n, m)
     table: dict[PairProfile, int] = {}
-    owners = []
-    for mm in matchings:
-        owner: dict[int, tuple[int, int]] = {}
-        for e in mm:
-            owner[e[0]] = e
-            owner[e[1]] = e
-        owners.append(owner)
+    owners = [{x: e for e in mm for x in e} for mm in matchings]
 
     def crosses(mi, owner_j) -> bool:
         # an edge of mi with endpoints in two different edges of mj
@@ -280,21 +306,16 @@ def exact_pair_profile_table(n: int, m: int) -> dict[PairProfile, int]:
 def exact_umk_distribution(
     n: int, p: Union[float, Fraction], k: int, *, exact: bool = False
 ) -> dict[int, Union[float, Fraction]]:
-    """Exact distribution of the k-matching number over G(n,p), by running
-    the exact solver on every mask."""
+    """Exact distribution of the k-matching number over G(n,p).  Each mask
+    is labelled with the largest m for which some size-m matching of K_n is
+    a k-matching there; every label some mask attains is a key."""
     _check_n(n)
-    slots = len(pair_slots(n))
-    if exact:
-        pf = Fraction(p)
-        weights = [pf**j * (1 - pf) ** (slots - j) for j in range(slots + 1)]
-        dist: dict[int, Fraction] = {}
-        for mask in range(1 << slots):
-            size, _ = exact_um_k(MaskGraph(n, mask).to_graph(), k)
-            dist[size] = dist.get(size, Fraction(0)) + weights[mask.bit_count()]
-        return dict(sorted(dist.items()))
-    pw = [float(p) ** j * (1.0 - float(p)) ** (slots - j) for j in range(slots + 1)]
-    buckets: dict[int, list[float]] = {}
-    for mask in range(1 << slots):
-        size, _ = exact_um_k(MaskGraph(n, mask).to_graph(), k)
-        buckets.setdefault(size, []).append(pw[mask.bit_count()])
-    return {size: math.fsum(terms) for size, terms in sorted(buckets.items())}
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    adj, edges = _mask_tables(n)
+    balls = {e: _ball(adj, e, k - 1) for e in pair_slots(n)}
+    size = np.zeros(edges.size, dtype=np.int8)
+    for m in range(1, n // 2 + 1):
+        for members in enumerate_matchings(n, m):
+            size[_k_matching_event(n, k, members, balls)] = m
+    return {int(s): _evaluate(_histogram(n, size == s), p, exact) for s in np.unique(size)}

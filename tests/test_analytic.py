@@ -28,6 +28,11 @@ class TestParams:
         with pytest.raises(ValueError):
             AsymptoticParams.from_nd(100, 5.0, 1)
 
+    def test_no_vertices_rejected_before_dividing(self):
+        for make in (AsymptoticParams.from_nd, AsymptoticParams.from_np):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                make(0, 0.5, 2)
+
 
 class TestBounds:
     def test_reference_point(self):

@@ -113,6 +113,17 @@ class TestMatchingCommands:
         assert code == 2
         assert "stalled" in err
 
+    def test_generator_no_vertices_is_error(self, capsys):
+        for flag, value in (("--d", "5"), ("--p", "0.5")):
+            code, _, err = run(
+                capsys, "generator", "--n", "0", flag, value, "--k", "2", "--seed", "1"
+            )
+            assert code == 1
+            assert "n must be >= 1" in err
+        code, _, err = run(capsys, "bounds", "--n", "0", "--d", "5", "--k", "2")
+        assert code == 1
+        assert "n must be >= 1" in err
+
     def test_generator_success(self, capsys):
         code, out, _ = run(
             capsys,

@@ -3,12 +3,74 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kmatch.analytic as an
 import kmatch.oracle as orc
 from kmatch.analytic import AsymptoticParams, PairProfile
+from kmatch.matching import exact_um_k
 
 P_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
+
+
+# ---------------------------------------------------------------------------
+# Per-mask references for the vectorized oracle: one Python predicate or one
+# exact-solver call on a Graph per mask.
+# ---------------------------------------------------------------------------
+
+
+def reference_prob_k_matching(n, p, k, matching, *, exact=False):
+    """P[the pair set is a k-matching] by a Python predicate on each mask."""
+    members = sorted(tuple(sorted(e)) for e in matching)
+    pair_bits = [(1 << u) | (1 << v) for u, v in members]
+
+    def pred(g):
+        for u, v in members:
+            if not g.has_edge(u, v):
+                return False
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                if not g.distance_at_least(pair_bits[i], pair_bits[j], k):
+                    return False
+        return True
+
+    return orc.exact_event_probability(n, p, pred, exact=exact)
+
+
+def reference_expected_Xm(n, p, k, m, *, exact=False):
+    """E[X_m] as the sum over every size-m matching of K_n."""
+    if m == 0:
+        return Fraction(1) if exact else 1.0
+    terms = [
+        reference_prob_k_matching(n, p, k, mm, exact=exact)
+        for mm in orc.enumerate_matchings(n, m)
+    ]
+    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
+
+
+def reference_umk_distribution(n, p, k, *, exact=False):
+    """The k-matching number's distribution by running the exact solver on
+    a Graph built from every mask."""
+    slots = len(orc.pair_slots(n))
+    if exact:
+        pf = Fraction(p)
+        weights = [pf**j * (1 - pf) ** (slots - j) for j in range(slots + 1)]
+        dist = {}
+        for mask in range(1 << slots):
+            size, _ = exact_um_k(orc.MaskGraph(n, mask).to_graph(), k)
+            dist[size] = dist.get(size, Fraction(0)) + weights[mask.bit_count()]
+        return dict(sorted(dist.items()))
+    pw = [float(p) ** j * (1.0 - float(p)) ** (slots - j) for j in range(slots + 1)]
+    buckets = {}
+    for mask in range(1 << slots):
+        size, _ = exact_um_k(orc.MaskGraph(n, mask).to_graph(), k)
+        buckets.setdefault(size, []).append(pw[mask.bit_count()])
+    return {size: math.fsum(terms) for size, terms in sorted(buckets.items())}
+
+
+def probabilities():
+    return st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
 class TestEventProbability:
@@ -252,3 +314,144 @@ class TestMonteCarloConsistency:
             hits += km.vertex_distance(g, 0, 1) >= k
         sigma = math.sqrt(target * (1 - target) / trials)
         assert abs(hits / trials - target) <= 3 * sigma
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_exact_matches_reference(self, n):
+        p = Fraction(2, 7)
+        for k in range(1, 5):
+            assert orc.exact_umk_distribution(
+                n, p, k, exact=True
+            ) == reference_umk_distribution(n, p, k, exact=True), (n, k)
+            for m in range(0, 4):
+                assert orc.exact_expected_Xm(n, p, k, m, exact=True) == (
+                    reference_expected_Xm(n, p, k, m, exact=True)
+                ), (n, k, m)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_n6_matches_reference(self, k):
+        p = Fraction(1, 2)
+        assert orc.exact_umk_distribution(
+            6, p, k, exact=True
+        ) == reference_umk_distribution(6, p, k, exact=True)
+        for m in range(1, 4):
+            assert orc.exact_expected_Xm(6, p, k, m, exact=True) == (
+                reference_expected_Xm(6, p, k, m, exact=True)
+            ), m
+
+    def test_bench_value(self):
+        got = orc.exact_expected_Xm(6, Fraction(1, 2), 3, 2, exact=True)
+        assert got == Fraction(2205, 16384)
+
+    def test_float_within_1e15_of_exact(self):
+        # each float weight float(p)^j (1-float(p))^(N-j) is a few ulps off
+        # the exact one at the same p; the sum over them is rounded once
+        for n in range(0, 6):
+            for k in range(1, 5):
+                for p in (0.3, 0.5, 0.85):
+                    exact = orc.exact_umk_distribution(n, p, k, exact=True)
+                    got = orc.exact_umk_distribution(n, p, k)
+                    assert got.keys() == exact.keys()
+                    for size, value in got.items():
+                        assert type(value) is float
+                        assert abs(value - float(exact[size])) <= 1e-15
+                    for m in range(0, 4):
+                        value = orc.exact_expected_Xm(n, p, k, m)
+                        want = orc.exact_expected_Xm(n, p, k, m, exact=True)
+                        assert type(value) is float
+                        assert abs(value - float(want)) <= 1e-15 * max(1, want), (
+                            n, k, p, m,
+                        )
+
+    def test_float_matches_reference(self):
+        for n in range(2, 6):
+            for k in (2, 3):
+                got = orc.exact_umk_distribution(n, 0.3, k)
+                want = reference_umk_distribution(n, 0.3, k)
+                assert got.keys() == want.keys()
+                for size in got:
+                    assert abs(got[size] - want[size]) <= 1e-15
+                value = orc.exact_expected_Xm(n, 0.3, k, 2)
+                assert abs(value - reference_expected_Xm(n, 0.3, k, 2)) <= 1e-15
+
+    @given(st.integers(0, 5), st.integers(1, 4), probabilities())
+    @settings(max_examples=25, deadline=None)
+    def test_umk_hypothesis(self, n, k, p):
+        assert orc.exact_umk_distribution(
+            n, p, k, exact=True
+        ) == reference_umk_distribution(n, p, k, exact=True)
+
+    @given(st.integers(0, 5), st.integers(1, 4), st.integers(0, 3), probabilities())
+    @settings(max_examples=40, deadline=None)
+    def test_expected_Xm_hypothesis(self, n, k, m, p):
+        assert orc.exact_expected_Xm(n, p, k, m, exact=True) == reference_expected_Xm(
+            n, p, k, m, exact=True
+        )
+
+    @given(st.data(), st.integers(2, 5), st.integers(-1, 5), probabilities())
+    @settings(max_examples=60, deadline=None)
+    def test_events_against_predicates(self, data, n, k, p):
+        u = data.draw(st.integers(0, n - 1))
+        v = data.draw(st.integers(0, n - 1))
+        got = orc.exact_prob_distance_ge_k(n, p, k, u, v, exact=True)
+        want = orc.exact_event_probability(
+            n, p, lambda g: g.distance_at_least(1 << u, 1 << v, k), exact=True
+        )
+        assert got == want
+        order = data.draw(st.permutations(range(n)))
+        m = data.draw(st.integers(0, n // 2))
+        matching = [(order[2 * i + 1], order[2 * i]) for i in range(m)]
+        got = orc.exact_prob_k_matching(n, p, k, matching, exact=True)
+        assert got == reference_prob_k_matching(n, p, k, matching, exact=True)
+
+
+class TestEdgeCases:
+    def test_umk_tiny_graphs(self):
+        for n in (0, 1):
+            assert orc.exact_umk_distribution(n, 0.5, 2) == {0: 1}
+            assert orc.exact_umk_distribution(n, Fraction(1, 3), 3, exact=True) == {
+                0: 1
+            }
+
+    def test_umk_keys_include_zero_weight_sizes(self):
+        got = orc.exact_umk_distribution(4, 1.0, 2)
+        assert got == {0: 0.0, 1: 1.0, 2: 0.0}
+        assert orc.exact_umk_distribution(4, 0.0, 2) == {0: 1.0, 1: 0.0, 2: 0.0}
+
+    def test_umk_rejects_k0(self):
+        for n in (0, 4):
+            with pytest.raises(ValueError):
+                orc.exact_umk_distribution(n, 0.5, 0)
+
+    def test_expected_Xm_bounds(self):
+        assert orc.exact_expected_Xm(5, 0.4, 2, 3) == 0.0
+        assert orc.exact_expected_Xm(5, Fraction(2, 5), 2, 3, exact=True) == 0
+        assert orc.exact_expected_Xm(5, Fraction(2, 5), 2, 0, exact=True) == 1
+        assert orc.exact_expected_Xm(0, 0.4, 2, 0) == 1.0
+        with pytest.raises(ValueError):
+            orc.exact_expected_Xm(5, 0.4, 2, -1)
+
+    def test_return_types(self):
+        q = Fraction(1, 3)
+        for m in (0, 1, 3):
+            assert type(orc.exact_expected_Xm(4, q, 2, m, exact=True)) is Fraction
+            assert type(orc.exact_expected_Xm(4, q, 2, m)) is float
+        assert type(orc.exact_prob_distance_ge_k(4, q, 2, 0, 1, exact=True)) is Fraction
+        assert type(orc.exact_prob_distance_ge_k(4, q, 2, 0, 1)) is float
+        assert type(orc.exact_prob_k_matching(4, q, 2, [(0, 1)], exact=True)) is Fraction
+        assert type(orc.exact_prob_k_matching(4, q, 2, [(0, 1)])) is float
+        assert type(orc.exact_event_probability(3, q, bool, exact=True)) is Fraction
+        assert type(orc.exact_event_probability(3, q, bool)) is float
+        for size, value in orc.exact_umk_distribution(4, q, 2, exact=True).items():
+            assert type(size) is int and type(value) is Fraction
+        for size, value in orc.exact_umk_distribution(4, q, 2).items():
+            assert type(size) is int and type(value) is float
+
+    def test_distance_nonpositive_k_and_same_vertex(self):
+        q = Fraction(3, 10)
+        assert orc.exact_prob_distance_ge_k(4, q, 0, 1, 1, exact=True) == 1
+        assert orc.exact_prob_distance_ge_k(4, q, -2, 0, 1, exact=True) == 1
+        assert orc.exact_prob_distance_ge_k(4, q, 1, 1, 1, exact=True) == 0
+        assert orc.exact_prob_distance_ge_k(4, q, 1, 0, 1, exact=True) == 1
