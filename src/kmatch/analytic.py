@@ -237,7 +237,17 @@ class JansonBounds:
 
     @property
     def u_exp_delta(self) -> float:
-        return self.u * math.exp(self.delta_bound)
+        """u * exp(delta_bound): 0.0 when u is 0, +inf when it overflows."""
+        if self.u == 0.0:
+            return 0.0
+        try:
+            return self.u * math.exp(self.delta_bound)
+        except OverflowError:
+            pass
+        try:  # exp alone overflowed; the product is finite only for tiny u
+            return math.exp(math.log(self.u) + self.delta_bound)
+        except OverflowError:
+            return math.inf
 
 
 def _log_u_vertex(params: AsymptoticParams) -> float:

@@ -241,7 +241,7 @@ def _cmd_sampled_sets(args) -> int:
         "layers": experiments.verify_layer_growth,
     }[args.command]
     cfg = _trial_config(args, "generator")
-    records, summary = verify(cfg, args.samples)
+    records, summary = verify(cfg, workers=args.threads)
     text = experiments.emit(records, summary, args.format, args.out, cfg)
     if not args.out:
         sys.stdout.write(text)

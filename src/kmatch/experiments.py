@@ -17,6 +17,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
@@ -186,49 +187,102 @@ def _summary_bounds(cfg: TrialConfig) -> Optional[analytic.BoundSet]:
         return None
 
 
-def _generator_target(cfg: TrialConfig) -> int:
+def _pair_count(cfg: TrialConfig, mode: str) -> int:
+    """s for one run.  The generator clamps the pair target to 1, as
+    ``default_pair_count`` does; theorem51 and layers describe random
+    2s-sets where the target is at least 1, so below that they raise."""
     if cfg.s_override is not None:
         return cfg.s_override
-    return default_pair_count(cfg.asymptotic_params())
+    params = cfg.asymptotic_params()
+    if mode == "experiment":
+        return default_pair_count(params)
+    s_real = analytic.generator_pair_target(params)
+    if s_real < 1.0:
+        raise analytic.RegimeError(
+            f"pair target s = {s_real} < 1 at n={cfg.n}, "
+            f"d={cfg.expected_degree()}, k={cfg.k}"
+        )
+    return math.floor(s_real)
 
 
-def _run_one(cfg: TrialConfig, index: int) -> TrialRecord:
+def _trial(
+    cfg: TrialConfig, mode: str, s: Optional[int], a_value: Optional[float], index: int
+) -> TrialRecord:
+    """One seeded trial: sample G(n,p), pick a source set, take its
+    distances up to k, and fill the record fields of ``mode``.
+
+    The sources are the matched vertices for "experiment" and 2s uniform
+    distinct vertices (sub-seed stream 2) for "theorem51" and "layers".
+    """
     seed = derive_seed(cfg.base_seed, index)
     g = sample_gnp(GnpParams(cfg.n, cfg.edge_probability(), _sub_seed(seed, 0)))
-    t0 = time.perf_counter() if cfg.measure_runtime else None
-    matching: Optional[KMatching] = None
-    stalled = False
-    if cfg.algorithm == "greedy":
-        matching = greedy_k_matching(g, cfg.k, _sub_seed(seed, 1))
-    elif cfg.algorithm == "generator":
-        gen_cfg = GeneratorConfig(
-            k=cfg.k,
-            seed=_sub_seed(seed, 1),
-            s_override=_generator_target(cfg),
-            max_repair_iterations=cfg.max_repair_iterations,
-        )
-        try:
-            matching = generator_algorithm(g, gen_cfg)
-        except GeneratorStalled:
-            stalled = True
-    else:
-        _, matching = exact_um_k(g, cfg.k)
-    runtime_ms = (time.perf_counter() - t0) * 1e3 if t0 is not None else None
-
     aux: dict = {}
-    if stalled or matching is None:
-        return TrialRecord(index, seed, 0, runtime_ms, False, aux)
-    valid = is_k_matching(g, matching)
-    far = distance_to_set(g, matched_vertices(matching), cfg.k) == cfg.k
+    if mode == "experiment":
+        t0 = time.perf_counter() if cfg.measure_runtime else None
+        matching: Optional[KMatching] = None
+        if cfg.algorithm == "greedy":
+            matching = greedy_k_matching(g, cfg.k, _sub_seed(seed, 1))
+        elif cfg.algorithm == "generator":
+            gen_cfg = GeneratorConfig(
+                k=cfg.k,
+                seed=_sub_seed(seed, 1),
+                s_override=s,
+                max_repair_iterations=cfg.max_repair_iterations,
+            )
+            try:
+                matching = generator_algorithm(g, gen_cfg)
+            except GeneratorStalled:
+                pass
+        else:
+            _, matching = exact_um_k(g, cfg.k)
+        runtime_ms = (time.perf_counter() - t0) * 1e3 if t0 is not None else None
+        if matching is None:
+            return TrialRecord(index, seed, 0, runtime_ms, False, aux)
+        valid = is_k_matching(g, matching)
+        sources = matched_vertices(matching)
+    else:
+        rng = np.random.default_rng(np.random.PCG64(_sub_seed(seed, 2)))
+        sources = rng.choice(cfg.n, size=2 * s, replace=False)
+    dist = distance_to_set(g, sources, cfg.k)
+    if mode == "layers":
+        d = cfg.expected_degree()
+        for level in range(cfg.k - 1):
+            size = int(np.count_nonzero(dist == level))
+            denom = 2.0 * s * d**level
+            aux[f"layer_ratio_{level}"] = size / denom if denom > 0.0 else 0.0
+        return TrialRecord(index, seed, None, None, True, aux)
+    far = dist == cfg.k
     induced = _induced_edge_from_mask(g, far) is not None
     aux["far_set_size"] = int(np.count_nonzero(far))
     aux["induced_edge"] = induced
+    if mode == "theorem51":
+        aux["far_ratio"] = aux["far_set_size"] / a_value
+        return TrialRecord(index, seed, None, None, True, aux)
     ok = valid
     if cfg.algorithm == "greedy":
         ok = ok and not induced  # maximality: far set induces no edge
     if cfg.algorithm == "generator":
-        ok = ok and matching.size == _generator_target(cfg)
+        ok = ok and matching.size == s
     return TrialRecord(index, seed, matching.size, runtime_ms, ok, aux)
+
+
+def _map_trials(
+    cfg: TrialConfig,
+    workers: int,
+    mode: str,
+    s: Optional[int] = None,
+    a_value: Optional[float] = None,
+) -> list[TrialRecord]:
+    """cfg.trials seeded trials of ``mode``, ordered by trial_index whatever
+    the worker count."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    trial = partial(_trial, cfg, mode, s, a_value)
+    indices = range(cfg.trials)
+    if workers == 1:
+        return [trial(i) for i in indices]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial, indices))
 
 
 def run_trials(
@@ -236,14 +290,8 @@ def run_trials(
 ) -> tuple[list[TrialRecord], TrialSummary]:
     """Run cfg.trials independent seeded trials; records come back ordered
     by trial_index whatever the worker count."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    indices = range(cfg.trials)
-    if workers == 1:
-        records = [_run_one(cfg, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda i: _run_one(cfg, i), indices))
+    s = _pair_count(cfg, "experiment") if cfg.algorithm == "generator" else None
+    records = _map_trials(cfg, workers, "experiment", s)
     sizes = [r.matching_size for r in records if r.succeeded]
     successes = len(sizes)
     unit = None
@@ -267,48 +315,16 @@ def run_trials(
 
 
 def verify_theorem_5_1(
-    cfg: TrialConfig, samples: int
+    cfg: TrialConfig, *, workers: int = 1
 ) -> tuple[list[TrialRecord], Theorem51Summary]:
-    """Per sample: fresh graph, 2s uniform distinct vertices S, then
-    measure |{v : d(v,S) >= k}| / A and whether that far set induces an
-    edge.  A and s come from the (n, d, k) closed forms."""
-    params = cfg.asymptotic_params()
-    if cfg.s_override is not None:
-        s = cfg.s_override
-    else:
-        s_real = analytic.generator_pair_target(params)
-        if s_real < 1.0:
-            raise analytic.RegimeError(
-                f"pair target s = {s_real} < 1 at n={cfg.n}, "
-                f"d={cfg.expected_degree()}, k={cfg.k}"
-            )
-        s = math.floor(s_real)
-    a_value = analytic.far_set_size_scale(params)
-    records = []
-    for i in range(samples):
-        seed = derive_seed(cfg.base_seed, i)
-        g = sample_gnp(GnpParams(cfg.n, cfg.edge_probability(), _sub_seed(seed, 0)))
-        rng = np.random.default_rng(np.random.PCG64(_sub_seed(seed, 2)))
-        sources = rng.choice(cfg.n, size=2 * s, replace=False)
-        far = distance_to_set(g, sources, cfg.k) == cfg.k
-        far_size = int(np.count_nonzero(far))
-        induced = _induced_edge_from_mask(g, far) is not None
-        records.append(
-            TrialRecord(
-                i,
-                seed,
-                None,
-                None,
-                True,
-                {
-                    "far_set_size": far_size,
-                    "induced_edge": induced,
-                    "far_ratio": far_size / a_value,
-                },
-            )
-        )
+    """Per sample (cfg.trials of them): fresh graph, 2s uniform distinct
+    vertices S, then measure |{v : d(v,S) >= k}| / A and whether that far
+    set induces an edge.  A and s come from the (n, d, k) closed forms."""
+    s = _pair_count(cfg, "theorem51")
+    a_value = analytic.far_set_size_scale(cfg.asymptotic_params())
+    records = _map_trials(cfg, workers, "theorem51", s, a_value)
     summary = Theorem51Summary(
-        samples=samples,
+        samples=cfg.trials,
         s=s,
         a_value=a_value,
         mean_far_ratio=float(
@@ -322,40 +338,21 @@ def verify_theorem_5_1(
 
 
 def verify_layer_growth(
-    cfg: TrialConfig, samples: int
+    cfg: TrialConfig, *, workers: int = 1
 ) -> tuple[list[TrialRecord], LayerGrowthSummary]:
-    """Per sample: fresh graph, 2s uniform vertices S, and the ratios
-    |{v : d(v,S) = i}| / (2 s d^i) for 0 <= i <= k-2.  Needs k >= 3 so at
-    least one grown layer exists."""
+    """Per sample (cfg.trials of them): fresh graph, 2s uniform vertices S,
+    and the ratios |{v : d(v,S) = i}| / (2 s d^i) for 0 <= i <= k-2.  Needs
+    k >= 3 so at least one grown layer exists."""
     if cfg.k < 3:
         raise ValueError("layer growth check needs k >= 3")
-    if cfg.s_override is not None:
-        s = cfg.s_override
-    else:
-        s_real = analytic.generator_pair_target(cfg.asymptotic_params())
-        if s_real < 1.0:
-            raise analytic.RegimeError(f"pair target s = {s_real} < 1")
-        s = math.floor(s_real)
-    d = cfg.expected_degree()
-    records = []
-    for i in range(samples):
-        seed = derive_seed(cfg.base_seed, i)
-        g = sample_gnp(GnpParams(cfg.n, cfg.edge_probability(), _sub_seed(seed, 0)))
-        rng = np.random.default_rng(np.random.PCG64(_sub_seed(seed, 2)))
-        sources = rng.choice(cfg.n, size=2 * s, replace=False)
-        dist = distance_to_set(g, sources, cfg.k)
-        aux = {}
-        for level in range(cfg.k - 1):
-            size = int(np.count_nonzero(dist == level))
-            denom = 2.0 * s * d**level
-            aux[f"layer_ratio_{level}"] = size / denom if denom > 0.0 else 0.0
-        records.append(TrialRecord(i, seed, None, None, True, aux))
+    s = _pair_count(cfg, "layers")
+    records = _map_trials(cfg, workers, "layers", s)
     ratios = [
         [r.auxiliary[f"layer_ratio_{level}"] for r in records]
         for level in range(cfg.k - 1)
     ]
     summary = LayerGrowthSummary(
-        samples=samples,
+        samples=cfg.trials,
         s=s,
         mean_ratio=tuple(float(np.mean(v)) for v in ratios),
         min_ratio=tuple(float(np.min(v)) for v in ratios),

@@ -279,23 +279,12 @@ def vertex_distance(
     _check_vertex(g, v)
     if u == v:
         return 0
-    seen = {u}
-    frontier = [u]
-    dist = 0
-    while frontier:
-        dist += 1
-        if cap is not None and dist > cap:
-            return UNREACHABLE
-        nxt = []
-        for x in frontier:
-            for y in g.neighbors(x).tolist():
-                if y == v:
-                    return dist
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return UNREACHABLE
+    # a path has at most n - 1 edges, so a larger cap changes nothing
+    bound = g.n - 1 if cap is None else min(cap, g.n - 1)
+    if bound < 1:
+        return UNREACHABLE
+    d = int(distance_to_set(g, [u], bound + 1)[v])
+    return d if d <= bound else UNREACHABLE
 
 
 def edge_distance(
@@ -317,13 +306,9 @@ def edge_distance(
         return 0
     if set(e) & set(f):
         return 1
-    best: Union[int, float] = UNREACHABLE
-    for x in e:
-        for y in f:
-            d = vertex_distance(g, x, y)
-            if d < best:
-                best = d
-    return best if best is UNREACHABLE else 1 + best
+    # distances from e's endpoints; g.n reads "unreachable"
+    best = int(distance_to_set(g, e, g.n)[list(f)].min())
+    return UNREACHABLE if best == g.n else 1 + best
 
 
 def bounded_ball(g: Graph, seeds: Sequence[int], radius: int) -> list[int]:

@@ -47,9 +47,11 @@ __all__ = [
 MAX_ORACLE_N = 6
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int, p: Union[float, Fraction] = 0) -> None:
     if not 0 <= n <= MAX_ORACLE_N:
         raise ValueError(f"oracle handles n <= {MAX_ORACLE_N}, got {n}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must be in [0, 1], got {p}")
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +169,7 @@ def exact_event_probability(
     satisfies the predicate.  With ``exact=True`` and a Fraction p the
     arithmetic is exact rational.
     """
-    _check_n(n)
+    _check_n(n, p)
     slots = len(pair_slots(n))
     counts = [0] * (slots + 1)
     for mask in range(1 << slots):
@@ -186,7 +188,7 @@ def exact_prob_distance_ge_k(
     exact: bool = False,
 ) -> Union[float, Fraction]:
     """Exact P[d_G(u,v) >= k] under G(n,p)."""
-    _check_n(n)
+    _check_n(n, p)
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("vertex out of range")
     adj, _ = _mask_tables(n)
@@ -233,7 +235,7 @@ def exact_prob_k_matching(
 ) -> Union[float, Fraction]:
     """Exact probability that all edges of the given vertex-disjoint pair
     set are present and pairwise at endpoint distance >= k."""
-    _check_n(n)
+    _check_n(n, p)
     members = _normalize_matching(n, matching)
     return _evaluate(_histogram(n, _k_matching_event(n, k, members)), p, exact)
 
@@ -255,7 +257,7 @@ def exact_expected_Xm(
     """Exact E[number of size-m k-matchings of G]: the number of size-m
     matchings of K_n times the exact k-matching probability of one of them,
     since G(n,p) is exchangeable."""
-    _check_n(n)
+    _check_n(n, p)
     if m == 0:
         return Fraction(1) if exact else 1.0
     matchings = enumerate_matchings(n, m)
@@ -309,7 +311,7 @@ def exact_umk_distribution(
     """Exact distribution of the k-matching number over G(n,p).  Each mask
     is labelled with the largest m for which some size-m matching of K_n is
     a k-matching there; every label some mask attains is a key."""
-    _check_n(n)
+    _check_n(n, p)
     if k < 1:
         raise ValueError("k must be >= 1")
     adj, edges = _mask_tables(n)

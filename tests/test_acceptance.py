@@ -171,11 +171,11 @@ def test_c09_far_set_scale_and_induced_edge():
             n=10**5,
             d=20.0,
             k=2,
-            trials=1,
+            trials=50,
             base_seed=1_000_009,
             algorithm="generator",
         )
-        records, summary = km.verify_theorem_5_1(cfg, 50)
+        records, summary = km.verify_theorem_5_1(cfg, workers=2)
         print(
             f"  A={summary.a_value:.1f} mean ratio {summary.mean_far_ratio:.4f} "
             f"edge freq {summary.induced_edge_frequency:.2f}"
@@ -191,11 +191,11 @@ def test_c10_layer_growth_band():
             n=10**6,
             d=30.0,
             k=3,
-            trials=1,
+            trials=20,
             base_seed=1_000_010,
             algorithm="generator",
         )
-        records, summary = km.verify_layer_growth(cfg, 20)
+        records, summary = km.verify_layer_growth(cfg, workers=2)
         print(f"  layer-1 ratios in [{summary.min_ratio[1]:.4f}, {summary.max_ratio[1]:.4f}]")
         for r in records:
             assert r.auxiliary["layer_ratio_0"] == 1.0

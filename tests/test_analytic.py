@@ -154,6 +154,22 @@ class TestJanson:
                 j = an.janson_vertex_pair(AsymptoticParams.from_np(6, p, k))
                 assert j.u <= j.u_exp_delta
 
+    @pytest.mark.parametrize("n, delta", [(5, 4971.78), (6, 8151.74)])
+    def test_upper_overflow_is_inf(self, n, delta):
+        j = an.janson_matching(AsymptoticParams.from_np(n, 0.9, 4), 2)
+        assert j.delta_bound == pytest.approx(delta, abs=0.01)
+        assert j.u > 0.0
+        assert j.u_exp_delta == math.inf
+
+    def test_upper_edge_values(self):
+        assert an.JansonBounds(0.0, 1e4).u_exp_delta == 0.0
+        assert an.JansonBounds(0.0, math.inf).u_exp_delta == 0.0
+        # exp(740) overflows but the product with u = e^-745 is finite
+        assert an.JansonBounds(5e-324, 740.0).u_exp_delta == pytest.approx(
+            math.exp(math.log(5e-324) + 740.0), rel=1e-12
+        )
+        assert an.JansonBounds(0.5, 2.0).u_exp_delta == 0.5 * math.exp(2.0)
+
     def test_matching_m1(self):
         j = an.janson_matching(AsymptoticParams.from_np(8, 0.3, 3), 1)
         assert j.u == 1.0 and j.delta_bound == 0.0

@@ -92,6 +92,23 @@ class TestOracle:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "p, event",
+        [
+            ("1.5", ["dist", "--u", "0", "--v", "1"]),
+            ("-0.5", ["umk"]),
+            ("1.0001", ["kmatch", "--edge", "0,1"]),
+            ("nan", ["xm", "--m", "1"]),
+        ],
+    )
+    def test_p_outside_unit_interval_is_error(self, capsys, p, event):
+        code, out, err = run(
+            capsys, "oracle", "--n", "3", "--p", p, "--k", "2", "--event", *event
+        )
+        assert code == 1
+        assert out == ""
+        assert "p must be in [0, 1]" in err
+
 
 class TestMatchingCommands:
     def test_greedy_empty_graph(self, capsys):
@@ -139,7 +156,7 @@ class TestMatchingCommands:
         cfg = km.experiments.TrialConfig(
             n=10**5, k=2, trials=1, base_seed=4, algorithm="generator", d=20.0
         )
-        s = km.experiments._generator_target(cfg)
+        s = km.matching.default_pair_count(cfg.asymptotic_params())
         assert s == 775
         code, out, _ = run(
             capsys, "generator", "--n", "1e5", "--d", "20", "--k", "2", "--seed", "4"
@@ -244,6 +261,54 @@ class TestExperimentCommands:
         assert code == 0
         header = out.split("\n")[0]
         assert "layer_ratio_0,layer_ratio_1" in header
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theorem51", "--n", "3000", "--d", "10", "--k", "2"],
+            ["layers", "--n", "3000", "--d", "5", "--k", "3"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sampled_sets_independent_of_threads(self, capsys, argv, fmt):
+        outputs = [
+            run(
+                capsys, "--threads", threads, *argv,
+                "--samples", "5", "--seed", "8", "--format", fmt,
+            )
+            for threads in ("1", "2")
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["theorem51", "layers"])
+    def test_sampled_sets_below_pair_target(self, capsys, command):
+        # at (100, 3, 3) the pair target is -0.78; both commands name the
+        # scale in the message
+        code, out, err = run(
+            capsys, command, "--n", "100", "--d", "3", "--k", "3",
+            "--samples", "2", "--seed", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "kmatch: error: pair target s = -0.7837318968058258 < 1 "
+            "at n=100, d=3.0, k=3\n"
+        )
+
+    @pytest.mark.parametrize("k", ["2", "3"])
+    @pytest.mark.parametrize("algorithm", ["greedy", "generator"])
+    def test_small_degree_experiment_runs(self, capsys, tmp_path, k, algorithm):
+        # a generator pair target below 1 clamps to s = 1 in `experiment`
+        # (at k = 2 the formula gives -14.6), so these small-degree runs
+        # exit 0 where theorem51 and layers raise
+        code, _, _ = run(
+            capsys,
+            "--threads", "1", "experiment", "--n", "4000", "--d", "8", "--k", k,
+            "--trials", "1", "--seed", "1", "--algorithm", algorithm,
+            "--out", str(tmp_path / "out.csv"),
+        )
+        assert code == 0
 
 
 class TestUsage:

@@ -119,9 +119,9 @@ class TestRunTrials:
 class TestTheorem51:
     def test_small_scale_ratio_near_one(self):
         cfg = TrialConfig(
-            n=2000, k=2, trials=1, base_seed=7, algorithm="generator", d=10.0
+            n=2000, k=2, trials=6, base_seed=7, algorithm="generator", d=10.0
         )
-        records, summary = ex.verify_theorem_5_1(cfg, 6)
+        records, summary = ex.verify_theorem_5_1(cfg)
         assert 0.3 < summary.mean_far_ratio < 3.0
         assert 0.0 <= summary.induced_edge_frequency <= 1.0
         assert len(records) == 6
@@ -129,43 +129,43 @@ class TestTheorem51:
     def test_all_vertices_far_set_empty(self):
         # p=1 sampling: the far set of any nonempty source set is empty
         cfg = TrialConfig(
-            n=64, k=2, trials=1, base_seed=7, algorithm="generator", p=1.0, s_override=4
+            n=64, k=2, trials=3, base_seed=7, algorithm="generator", p=1.0, s_override=4
         )
-        records, summary = ex.verify_theorem_5_1(cfg, 3)
+        records, summary = ex.verify_theorem_5_1(cfg)
         assert all(r.auxiliary["far_set_size"] == 0 for r in records)
         assert summary.induced_edge_frequency == 0.0
 
     def test_out_of_regime_rejected(self):
         # pair target s drops below 1 here
         cfg = TrialConfig(
-            n=16, k=2, trials=1, base_seed=7, algorithm="generator", d=2.0
+            n=16, k=2, trials=2, base_seed=7, algorithm="generator", d=2.0
         )
         with pytest.raises(km.RegimeError):
-            ex.verify_theorem_5_1(cfg, 2)
+            ex.verify_theorem_5_1(cfg)
 
 
 class TestLayerGrowth:
     def test_layer_zero_ratio_exactly_one(self):
         cfg = TrialConfig(
-            n=3000, k=3, trials=1, base_seed=13, algorithm="generator", d=5.0
+            n=3000, k=3, trials=5, base_seed=13, algorithm="generator", d=5.0
         )
-        records, summary = ex.verify_layer_growth(cfg, 5)
+        records, summary = ex.verify_layer_growth(cfg)
         assert all(r.auxiliary["layer_ratio_0"] == 1.0 for r in records)
         assert summary.mean_ratio[0] == 1.0
 
     def test_needs_k_at_least_three(self):
         cfg = TrialConfig(
-            n=3000, k=2, trials=1, base_seed=13, algorithm="generator", d=5.0
+            n=3000, k=2, trials=2, base_seed=13, algorithm="generator", d=5.0
         )
         with pytest.raises(ValueError):
-            ex.verify_layer_growth(cfg, 2)
+            ex.verify_layer_growth(cfg)
 
     def test_edgeless_layers_empty(self):
         cfg = TrialConfig(
-            n=100, k=3, trials=1, base_seed=13, algorithm="generator", p=0.0,
+            n=100, k=3, trials=2, base_seed=13, algorithm="generator", p=0.0,
             s_override=3,
         )
-        records, _ = ex.verify_layer_growth(cfg, 2)
+        records, _ = ex.verify_layer_growth(cfg)
         for r in records:
             assert r.auxiliary["layer_ratio_0"] == 1.0
             assert r.auxiliary["layer_ratio_1"] == 0.0
@@ -194,10 +194,10 @@ class TestEmit:
 
     def test_csv_layer_columns_follow_k(self):
         cfg = TrialConfig(
-            n=3000, k=4, trials=1, base_seed=13, algorithm="generator", d=4.0,
+            n=3000, k=4, trials=2, base_seed=13, algorithm="generator", d=4.0,
             s_override=5,
         )
-        records, summary = ex.verify_layer_growth(cfg, 2)
+        records, summary = ex.verify_layer_growth(cfg)
         header = ex.emit(records, summary, "csv", None, cfg).split("\n")[0]
         assert header.endswith("layer_ratio_0,layer_ratio_1,layer_ratio_2")
 

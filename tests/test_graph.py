@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,20 @@ class TestSampling:
         assert bad / samples <= bound + margin
 
 
+def nx_graph(g):
+    """The same graph in networkx, the independent distance reference."""
+    out = nx.Graph(list(g.edges()))
+    out.add_nodes_from(range(g.n))
+    return out
+
+
+def nx_set_distance(nxg, sources, v):
+    """Distance from v to the nearest source; UNREACHABLE if none is
+    connected to v."""
+    lengths = nx.multi_source_dijkstra_path_length(nxg, {int(s) for s in sources})
+    return lengths.get(v, UNREACHABLE)
+
+
 class TestDistances:
     def test_identity(self):
         g = km.path_graph(4)
@@ -236,12 +251,13 @@ class TestLayers:
         pieces = [l.tolist() for l in layers] + [far.tolist()]
         flat = [v for piece in pieces for v in piece]
         assert sorted(flat) == list(range(14))  # disjoint cover
+        nxg = nx_graph(g)
         for i, layer in enumerate(layers):
             for v in layer.tolist():
-                d = min(km.vertex_distance(g, int(s), v) for s in sources)
+                d = nx_set_distance(nxg, sources, v)
                 assert d == i
         for v in far.tolist():
-            d = min(km.vertex_distance(g, int(s), v) for s in sources)
+            d = nx_set_distance(nxg, sources, v)
             assert d >= k
 
 
@@ -296,9 +312,38 @@ def test_distance_to_set_matches_bfs():
     g = km.sample_gnp(GnpParams(30, 0.12, 5))
     sources = [3, 17]
     dist = distance_to_set(g, sources, 4)
+    nxg = nx_graph(g)
     for v in range(30):
-        exact = min(km.vertex_distance(g, s, v) for s in sources)
+        exact = nx_set_distance(nxg, sources, v)
         assert dist[v] == min(exact, 4)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_distances_match_networkx(seed):
+    # sparse enough that many pairs are disconnected, dense enough for paths
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 16))
+    g = km.sample_gnp(GnpParams(n, float(rng.uniform(0.0, 0.35)), seed))
+    nxg = nx_graph(g)
+    lengths = dict(nx.all_pairs_shortest_path_length(nxg))
+    for u in range(n):
+        for v in range(n):
+            exact = lengths[u].get(v, UNREACHABLE)
+            assert km.vertex_distance(g, u, v) == exact
+            for cap in (0, 1, 2, 3, n + 5):
+                within = exact if exact <= cap else UNREACHABLE
+                assert km.vertex_distance(g, u, v, cap=cap) == within
+    edges = list(g.edges())
+    for e in edges:
+        for f in edges:
+            if e == f:
+                expected = 0
+            elif set(e) & set(f):
+                expected = 1
+            else:
+                expected = 1 + min(lengths[x].get(y, UNREACHABLE) for x in e for y in f)
+            assert km.edge_distance(g, e, f) == expected
 
 
 class TestEdgeListIO:

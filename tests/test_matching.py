@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
@@ -215,13 +216,17 @@ class TestIsKMatching:
 
     def test_matches_pairwise_edge_distance(self):
         # definition check: pairwise edge distance >= k+1, i.e. min
-        # endpoint distance >= k
+        # endpoint distance >= k, with distances from networkx
         g = km.sample_gnp(GnpParams(12, 0.25, 17))
+        nxg = nx.Graph(list(g.edges()))
+        nxg.add_nodes_from(range(g.n))
+        lengths = dict(nx.all_pairs_shortest_path_length(nxg))
         edges = list(g.edges())
         for k in (1, 2, 3):
             for e, f in itertools.combinations(edges, 2):
                 m = KMatching.of(k, [e, f])
-                expected = km.edge_distance(g, e, f) >= k + 1
+                gap = min(lengths[x].get(y, math.inf) for x in e for y in f)
+                expected = gap >= k
                 assert km.is_k_matching(g, m) == expected
 
 
@@ -418,6 +423,13 @@ class TestGenerator:
         assert abs(default_pair_count(params) - 775) <= 5
         assert default_pair_count(AsymptoticParams.from_nd(g.n, 20.0, 2)) == 775
 
+    def test_default_pair_count_clamps_to_one(self):
+        # the formula gives -14.6 here; the generator still runs with s = 1
+        # (theorem51 and layers raise RegimeError instead)
+        params = AsymptoticParams.from_nd(4000, 8.0, 2)
+        assert km.analytic.generator_pair_target(params) < -14
+        assert default_pair_count(params) == 1
+
     def test_too_many_pairs_rejected(self):
         with pytest.raises(ValueError):
             km.generator_algorithm(
@@ -560,10 +572,14 @@ class TestGeneratorAgainstReference:
 
     @pytest.mark.parametrize(
         "n, d, k, s",
-        # s=None takes the formula's s; the larger s need fallback scans
-        # near the end, and the largest of each k stall for every seed
+        # s=None takes default_pair_count at the graph's mean degree: the
+        # formula gives -10.96 at (3000, 8.0, 2), so that case runs the clamp
+        # to s = 1, and 19.05 at (3000, 16.0, 2), so s = 19 there (4.19, so
+        # s = 4, at (4000, 5.0, 3)); the larger s need fallback scans near
+        # the end, and the largest of each k stall for every seed
         [
             (3000, 8.0, 2, None),
+            (3000, 16.0, 2, None),
             (3000, 8.0, 2, 340),
             (3000, 8.0, 2, 380),
             (4000, 5.0, 3, None),

@@ -449,6 +449,26 @@ class TestEdgeCases:
         for size, value in orc.exact_umk_distribution(4, q, 2).items():
             assert type(size) is int and type(value) is float
 
+    @pytest.mark.parametrize("p", [1.5, -0.5, 1 + 1e-12, -1e-300, Fraction(4, 3), math.nan])
+    def test_p_outside_unit_interval_rejected(self, p):
+        events = [
+            lambda: orc.exact_prob_distance_ge_k(3, p, 2, 0, 1),
+            lambda: orc.exact_prob_k_matching(4, p, 2, [(0, 1), (2, 3)]),
+            lambda: orc.exact_expected_Xm(4, p, 2, 1),
+            lambda: orc.exact_expected_Xm(4, p, 2, 0),
+            lambda: orc.exact_expected_Xm(4, p, 2, 3),
+            lambda: orc.exact_umk_distribution(3, p, 2),
+            lambda: orc.exact_event_probability(3, p, bool),
+        ]
+        for event in events:
+            with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+                event()
+
+    def test_p_at_unit_interval_ends_accepted(self):
+        for p in (0, 0.0, 1, 1.0, Fraction(0), Fraction(1)):
+            assert orc.exact_prob_distance_ge_k(3, p, 2, 0, 1) == 1 - p
+            assert sum(orc.exact_umk_distribution(3, p, 2).values()) == 1
+
     def test_distance_nonpositive_k_and_same_vertex(self):
         q = Fraction(3, 10)
         assert orc.exact_prob_distance_ge_k(4, q, 0, 1, 1, exact=True) == 1
