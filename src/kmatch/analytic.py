@@ -250,29 +250,32 @@ class JansonBounds:
             return math.inf
 
 
-def _log_u_vertex(params: AsymptoticParams) -> float:
-    # (1-p) * prod_{i=2}^{k-1} (1-p^i)^{(n-2)...(n-i)}
+def _log_u(params: AsymptoticParams, first: int) -> float:
+    # log of (1-p) * prod_{i=2}^{k-1} (1-p^i)^{(n-first)...(n-first-i+2)}:
+    # a path of length i between two fixed vertices runs through i-1 of the
+    # n-first vertices outside the fixed ones
     n, p, k = params.n, params.p, params.k
     out = math.log1p(-p) if p < 1.0 else -math.inf
     for i in range(2, k):
         ways = 1.0
-        for j in range(2, i + 1):
+        for j in range(first, first + i - 1):
             ways *= n - j
         out += ways * math.log1p(-(p**i))
     return out
 
 
-def _delta_bound_vertex(params: AsymptoticParams) -> float:
-    # sum_{li=2}^{k-1} n^(li-1) p^li * sum_{lj=li}^{k-1} sum_{t=1}^{li-1}
-    #     C(li,t) n^(lj-t-1) p^(lj-t)
+def _delta_bound(params: AsymptoticParams, weight: int, slots: int) -> float:
+    # slots * sum_{li=2}^{k-1} n^(li-1) p^li * sum_{lj=li}^{k-1}
+    #     sum_{t=1}^{li-1} C(li,t) * weight * n^(lj-t-1) p^(lj-t)
+    # with the integer factors multiplied first
     n, p, k = params.n, params.p, params.k
     total = 0.0
     for li in range(2, k):
         inner = 0.0
         for lj in range(li, k):
             for t in range(1, li):
-                inner += math.comb(li, t) * n ** (lj - t - 1) * p ** (lj - t)
-        total += n ** (li - 1) * p**li * inner
+                inner += math.comb(li, t) * weight * n ** (lj - t - 1) * p ** (lj - t)
+        total += slots * n ** (li - 1) * p**li * inner
     return total
 
 
@@ -281,33 +284,24 @@ def janson_vertex_pair(params: AsymptoticParams) -> JansonBounds:
     no connecting path of length <= k-1 appears.  At k=2 this is exactly
     (1-p, 0)."""
     return JansonBounds(
-        u=math.exp(_log_u_vertex(params)), delta_bound=_delta_bound_vertex(params)
+        u=math.exp(_log_u(params, 2)), delta_bound=_delta_bound(params, 1, 1)
     )
 
 
 def janson_matching(params: AsymptoticParams, m: int) -> JansonBounds:
     """Bounds on P[no two edges of a fixed size-m matching of K_n are
     joined by a path of length <= k-1], i.e. the conditional probability
-    that the matching is a k-matching given its edges are present."""
+    that the matching is a k-matching given its edges are present: the
+    vertex-pair bounds over the 4*C(m,2) endpoint pairs of distinct
+    members, with path interiors avoiding the two members' endpoints."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    n, p, k = params.n, params.p, params.k
     pair_slots = 4 * math.comb(m, 2)
-    log_u = math.log1p(-p) if p < 1.0 else -math.inf
-    for i in range(2, k):
-        ways = 1.0
-        for j in range(4, i + 3):
-            ways *= n - j
-        log_u += ways * math.log1p(-(p**i))
-    log_u *= pair_slots
-    delta = 0.0
-    for li in range(2, k):
-        inner = 0.0
-        for lj in range(li, k):
-            for t in range(1, li):
-                inner += math.comb(li, t) * 2 * m * n ** (lj - t - 1) * p ** (lj - t)
-        delta += pair_slots * n ** (li - 1) * p**li * inner
-    return JansonBounds(u=math.exp(log_u) if pair_slots else 1.0, delta_bound=delta)
+    log_u = _log_u(params, 4) * pair_slots
+    return JansonBounds(
+        u=math.exp(log_u) if pair_slots else 1.0,
+        delta_bound=_delta_bound(params, 2 * m, pair_slots),
+    )
 
 
 # ---------------------------------------------------------------------------

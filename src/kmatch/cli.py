@@ -65,9 +65,9 @@ def _resolve_graph(args: argparse.Namespace):
     if args.input:
         return read_edge_list(args.input)
     if args.n is None:
-        raise SystemExit2("one of --input or --n is required")
+        raise ValueError("one of --input or --n is required")
     if args.seed is None:
-        raise SystemExit2("--seed is required when sampling a graph")
+        raise ValueError("--seed is required when sampling a graph")
     p = _resolve_p(args)
     return sample_gnp(GnpParams(args.n, p, args.seed))
 
@@ -79,11 +79,7 @@ def _resolve_p(args: argparse.Namespace) -> float:
         if not args.n:
             return 0.0
         return args.d / args.n
-    raise SystemExit2("one of --d or --p is required")
-
-
-class SystemExit2(Exception):
-    """Usage-level problem detected after parsing."""
+    raise ValueError("one of --d or --p is required")
 
 
 def _params_from_args(args: argparse.Namespace) -> analytic.AsymptoticParams:
@@ -173,16 +169,16 @@ def _cmd_bounds(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.event == "dist":
         if args.u is None or args.v is None:
-            raise SystemExit2("--event dist needs --u and --v")
+            raise ValueError("--event dist needs --u and --v")
         value = oracle.exact_prob_distance_ge_k(args.n, args.p, args.k, args.u, args.v)
     elif args.event == "kmatch":
         if not args.edges:
-            raise SystemExit2("--event kmatch needs at least one --edge u,v")
+            raise ValueError("--event kmatch needs at least one --edge u,v")
         pairs = [_parse_edge(e) for e in args.edges]
         value = oracle.exact_prob_k_matching(args.n, args.p, args.k, pairs)
     elif args.event == "xm":
         if args.m is None:
-            raise SystemExit2("--event xm needs --m")
+            raise ValueError("--event xm needs --m")
         value = oracle.exact_expected_Xm(args.n, args.p, args.k, args.m)
     else:  # umk; argparse restricts the choices
         value = {
@@ -202,7 +198,7 @@ def _cmd_oracle(args) -> int:
 def _parse_edge(text: str) -> tuple[int, int]:
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
-        raise SystemExit2(f"--edge expects 'u,v', got {text!r}")
+        raise ValueError(f"--edge expects 'u,v', got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
@@ -366,9 +362,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"kmatch: error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"kmatch: error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,6 @@ streams are stable across platforms).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
@@ -312,24 +311,12 @@ def edge_distance(
 
 
 def bounded_ball(g: Graph, seeds: Sequence[int], radius: int) -> list[int]:
-    """All vertices within distance <= radius of the seed set (seeds
-    included).  Cost is proportional to the ball, not the graph."""
-    seen = set(int(s) for s in seeds)
-    frontier = deque(seen)
-    out = list(seen)
-    for _ in range(radius):
-        if not frontier:
-            break
-        nxt: deque[int] = deque()
-        while frontier:
-            x = frontier.popleft()
-            for y in g.neighbors(x).tolist():
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    out.append(y)
-        frontier = nxt
-    return out
+    """The sorted distinct vertices within distance <= radius of the seed
+    set (seeds included), gathered by ``_ball``.  Cost is proportional to
+    the ball, not the graph."""
+    if len(seeds) == 0:
+        return []
+    return np.unique(_ball(g, seeds, radius)).tolist()
 
 
 def _gather_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:
@@ -373,9 +360,9 @@ def _bfs(
     truncated at ``cap`` (see ``distance_to_set``).
 
     Given ``owner``, a per-vertex label array already set at ``src``, every
-    vertex at distance 1..cap-1 takes the label of a neighbour one level
+    vertex at distance 1..cap-2 takes the label of a neighbour one level
     closer, so each labelled vertex lies at its distance from a source of
-    its own label.
+    its own label.  The last level, cap-1, is left unlabelled.
     """
     dist = np.full(g.n, cap, dtype=np.int32)
     dist[src] = 0
@@ -383,12 +370,13 @@ def _bfs(
     for level in range(1, cap):
         nbrs = _gather_neighbors(g, frontier)
         fresh = dist[nbrs] == cap
-        if owner is not None:
+        last = level == cap - 1
+        if owner is not None and not last:
             degs = g.indptr[frontier + 1] - g.indptr[frontier]
             owner[nbrs[fresh]] = np.repeat(owner[frontier], degs)[fresh]
         nbrs = nbrs[fresh]
         dist[nbrs] = level
-        if nbrs.size == 0 or level == cap - 1:
+        if nbrs.size == 0 or last:
             break  # the last level is never expanded, so never deduplicated
         frontier = np.unique(nbrs)
     return dist

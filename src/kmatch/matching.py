@@ -99,14 +99,27 @@ class KMatching:
 
     @classmethod
     def from_text(cls, text: str) -> "KMatching":
+        """Parse ``to_text`` output; a malformed line raises ValueError
+        naming its line number."""
         lines = text.split("\n")
-        k, m = (int(x) for x in lines[0].split())
+        header = lines[0].split()
+        if len(header) != 2:
+            raise ValueError("matching header must be 'k m' at line 1")
+        k, m = int(header[0]), int(header[1])
+        if m < 0:
+            raise ValueError(f"negative edge count {m} at line 1")
         pairs = []
         for i in range(1, m + 1):
-            u, v = (int(x) for x in lines[i].split())
+            parts = lines[i].split() if i < len(lines) else []
+            if len(parts) != 2:
+                raise ValueError(f"malformed edge line {i + 1}")
+            u, v = int(parts[0]), int(parts[1])
             if u >= v:
-                raise ValueError(f"edge {u} {v} is not normalized")
+                raise ValueError(f"edge {u} {v} is not normalized at line {i + 1}")
             pairs.append((u, v))
+        for i, line in enumerate(lines[m + 1 :], start=m + 2):
+            if line.strip():
+                raise ValueError(f"content after the declared edge count at line {i}")
         return cls.of(k, pairs)
 
 
@@ -114,10 +127,11 @@ def matched_vertices(m: KMatching) -> list[int]:
     return sorted({v for e in m.edges for v in e})
 
 
-def _matched_distance(g: Graph, m: KMatching, cap: int) -> Optional[np.ndarray]:
+def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     """Distance from every vertex to the matched vertices, truncated at
-    ``cap`` as ``distance_to_set`` gives it, or None when m is not a
-    k-matching of g.  ``cap`` must be at least max(k-1, 1).
+    max(k, 1) as ``distance_to_set`` gives it, and whether m is a
+    k-matching of g.  The distances come with either verdict.  Raises
+    InvalidMatchingError when a member is not a pair of vertex ids of g.
 
     One multi-source BFS from the matched vertices labels each vertex with
     the member that owns a nearest matched vertex.  Two members lie within
@@ -126,22 +140,25 @@ def _matched_distance(g: Graph, m: KMatching, cap: int) -> Optional[np.ndarray]:
     shortest path between the two members changes owner along some edge,
     and the labelled distances on either side of it are at most the path's
     lengths to its ends (the Voronoi boundary-edge test of Mehlhorn, IPL
-    1988).  Such an edge has an endpoint at distance <= (k-2)//2, so only
-    the neighbours of those vertices are scanned; the same scan finds each
-    member's own edge and, by counting them, shared endpoints.
+    1988).  The test reads owners only at distance <= k-2, so the BFS
+    leaves its last level unlabelled.  Such an edge has an endpoint at
+    distance <= (k-2)//2, so only the neighbours of those vertices are
+    scanned; the same scan finds each member's own edge and, by counting
+    them, shared endpoints.
     """
     k = m.k
     try:
         pairs = np.array(list(m.edges), dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        return None  # a member beyond any vertex id
+        in_range = np.all((0 <= pairs) & (pairs < g.n))
+    except OverflowError:  # a member beyond any vertex id
+        in_range = False
+    if not in_range:
+        raise InvalidMatchingError("a member is not a pair of vertices of this graph")
     mu, mv = pairs[:, 0], pairs[:, 1]
-    if not np.all((0 <= mu) & (mu < mv) & (mv < g.n)):
-        return None  # malformed member
     src = np.concatenate([mu, mv])
     owner = np.full(g.n, -1, dtype=np.int32)
     owner[src] = np.tile(np.arange(mu.size, dtype=np.int32), 2)
-    dist = _bfs(g, src, cap, owner)
+    dist = _bfs(g, src, max(k, 1), owner)
     partner = np.full(g.n, -1, dtype=np.int64)
     partner[mu], partner[mv] = mv, mu
     near = np.flatnonzero(dist <= max(k - 2, 0) // 2)
@@ -149,12 +166,10 @@ def _matched_distance(g: Graph, m: KMatching, cap: int) -> Optional[np.ndarray]:
     y = _gather_neighbors(g, near)
     # at most one hit per distinct matched vertex: fewer than 2|m| hits
     # mean a member is not an edge or two members share an endpoint
-    if np.count_nonzero(y == partner[x]) < src.size:
-        return None
+    if not np.all(mu < mv) or np.count_nonzero(y == partner[x]) < src.size:
+        return dist, False
     close = dist[x] + dist[y] <= k - 2
-    if np.any(owner[x[close]] != owner[y[close]]):
-        return None
-    return dist
+    return dist, not np.any(owner[x[close]] != owner[y[close]])
 
 
 def is_k_matching(g: Graph, m: KMatching) -> bool:
@@ -164,15 +179,18 @@ def is_k_matching(g: Graph, m: KMatching) -> bool:
     Checked in one owner-labelled BFS from the matched vertices; see
     ``_matched_distance`` for the boundary-edge test.
     """
-    return _matched_distance(g, m, max(m.k - 1, 1)) is not None
+    try:
+        return _matched_distance(g, m)[1]
+    except InvalidMatchingError:
+        return False
 
 
 def _far_mask(g: Graph, m: KMatching) -> np.ndarray:
     """Vertices at distance >= k from the matched set, from the same pass
     that validates m; raises InvalidMatchingError if m is not a k-matching
     of g."""
-    dist = _matched_distance(g, m, m.k)
-    if dist is None:
+    dist, valid = _matched_distance(g, m)
+    if not valid:
         raise InvalidMatchingError("not a k-matching of this graph")
     return dist == m.k
 

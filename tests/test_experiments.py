@@ -1,11 +1,13 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 import kmatch as km
 import kmatch.experiments as ex
 from kmatch.experiments import TrialConfig, derive_seed
+from kmatch.matching import KMatching
 
 
 def greedy_cfg(**kw):
@@ -108,6 +110,26 @@ class TestRunTrials:
         a, _ = ex.run_trials(cfg, workers=1)
         b, _ = ex.run_trials(cfg, workers=3)
         assert a == b
+
+    def test_invalid_matching_recorded_as_failure(self, monkeypatch):
+        """A matching the validator rejects still gets its far-set columns,
+        from the same pass that rejects it: the values are those a separate
+        distance_to_set from the matched vertices gave."""
+
+        def adjacent_pair(g, k, seed):  # two edges sharing a vertex
+            v = int(np.flatnonzero(np.diff(g.indptr) >= 2)[0])
+            a, b = g.neighbors(v)[:2].tolist()
+            return KMatching.of(k, [(v, a), (v, b)])
+
+        monkeypatch.setattr(ex, "greedy_k_matching", adjacent_pair)
+        expected = {1: [297, 297, 297], 2: [284, 282, 282], 3: [212, 218, 200]}
+        for k, far_sizes in expected.items():
+            records, summary = ex.run_trials(greedy_cfg(k=k, trials=3))
+            assert summary.successes == 0
+            assert [r.matching_size for r in records] == [2, 2, 2]
+            assert [r.auxiliary for r in records] == [
+                {"far_set_size": f, "induced_edge": True} for f in far_sizes
+            ]
 
     def test_runtime_measured_only_on_request(self):
         records, _ = ex.run_trials(greedy_cfg())

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import kmatch as km
 from kmatch.graph import UNREACHABLE, GnpParams, _ball, bounded_ball, distance_to_set
 
+from bfs_reference import python_ball
+
 
 def test_edge_normalizes_and_rejects_loops():
     assert km.graph.edge(3, 1) == (1, 3)
@@ -292,20 +294,25 @@ class TestInducedEdge:
 
 def test_bounded_ball_radius_zero_and_growth():
     g = km.path_graph(6)
-    assert sorted(bounded_ball(g, (2,), 0)) == [2]
-    assert sorted(bounded_ball(g, (2,), 1)) == [1, 2, 3]
-    assert sorted(bounded_ball(g, (0, 5), 1)) == [0, 1, 4, 5]
+    assert bounded_ball(g, (2,), 0) == [2]
+    assert bounded_ball(g, (2,), 1) == [1, 2, 3]
+    assert bounded_ball(g, (5, 0), 1) == [0, 1, 4, 5]
+    assert bounded_ball(g, (3, 3), 1) == [2, 3, 4]
+    assert bounded_ball(g, (), 3) == []
 
 
 @given(st.integers(0, 10**6), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_ball_matches_bounded_ball(seed, radius):
+    """``_ball`` and ``bounded_ball`` against the plain Python BFS."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 40))
     g = km.sample_gnp(GnpParams(n, float(rng.uniform(0.02, 0.4)), seed))
     size = int(rng.integers(1, 3))
     seeds = tuple(int(v) for v in rng.choice(n, size=size, replace=False))
-    assert set(_ball(g, seeds, radius).tolist()) == set(bounded_ball(g, seeds, radius))
+    expected = python_ball(g, seeds, radius)
+    assert set(_ball(g, seeds, radius).tolist()) == set(expected)
+    assert bounded_ball(g, seeds, radius) == sorted(expected)
 
 
 def test_distance_to_set_matches_bfs():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import kmatch as km
 from kmatch.analytic import AsymptoticParams
-from kmatch.graph import GnpParams, bounded_ball, distance_to_set
+from kmatch.graph import GnpParams, distance_to_set
 from kmatch.matching import (
     _REJECTION_TRIES,
     _SCAN_CHUNK,
@@ -19,9 +19,12 @@ from kmatch.matching import (
     InstanceTooLargeError,
     InvalidMatchingError,
     KMatching,
+    _matched_distance,
     default_pair_count,
     matched_vertices,
 )
+
+from bfs_reference import python_ball
 
 
 def brute_force_um_k(g, k):
@@ -68,7 +71,7 @@ def reference_generator_algorithm(g, cfg):
         u, v = int(pu[i]), int(pv[i])
         if not g.has_edge(u, v):
             return False
-        for w in bounded_ball(g, (u, v), k - 1):
+        for w in python_ball(g, (u, v), k - 1):
             if selected[w] and w != u and w != v:
                 return False
         return True
@@ -119,7 +122,7 @@ def reference_generator_algorithm(g, cfg):
 
 def reference_greedy_k_matching(g, k, seed):
     """Reference greedy scan: the seeded permutation walked in chunks with
-    no compaction, each kept edge blocking its ``bounded_ball``.  It
+    no compaction, each kept edge blocking its Python BFS ball.  It
     consumes the RNG exactly as ``greedy_k_matching`` must."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -139,7 +142,7 @@ def reference_greedy_k_matching(g, k, seed):
             if blocked[u] or blocked[v]:
                 continue
             chosen.append((u, v))
-            blocked[bounded_ball(g, (u, v), k - 1)] = True
+            blocked[python_ball(g, (u, v), k - 1)] = True
     return KMatching(k, frozenset(chosen))
 
 
@@ -161,7 +164,7 @@ def reference_is_k_matching(g, m):
     mask[verts] = True
     radius = m.k - 1
     for u, v in members:
-        for w in bounded_ball(g, (u, v), radius):
+        for w in python_ball(g, (u, v), radius):
             if mask[w] and w != u and w != v:
                 return False
     return True
@@ -526,7 +529,17 @@ class TestValidatorsAgainstReference:
     @settings(max_examples=400, deadline=None)
     def test_is_k_matching(self, case):
         g, m = case
-        assert km.is_k_matching(g, m) == reference_is_k_matching(g, m)
+        expected = reference_is_k_matching(g, m)
+        assert km.is_k_matching(g, m) == expected
+        verts = [v for e in m.edges for v in e]
+        if not all(0 <= v < g.n for v in verts):
+            with pytest.raises(InvalidMatchingError):
+                _matched_distance(g, m)
+            return
+        # the pass's distances come with either verdict
+        dist, valid = _matched_distance(g, m)
+        assert valid == expected
+        assert np.array_equal(dist, distance_to_set(g, verts, max(m.k, 1)))
 
     @given(graph_and_members())
     @settings(max_examples=200, deadline=None)
@@ -637,10 +650,29 @@ class TestSerialization:
         text = m.to_text()
         assert text == "3 2\n2 5\n7 9\n"
         assert KMatching.from_text(text) == m
+        assert KMatching.from_text(text + "\n\n") == m  # trailing blank lines
+        assert KMatching.from_text("2 0") == KMatching(2, frozenset())
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 2"):
             KMatching.from_text("2 1\n3 1\n")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("2 5\n0 1", "line 3"),  # fewer members than declared
+            ("2 2\n0 1\n\n", "line 3"),
+            ("2 1\n0 1 2\n", "line 2"),
+            ("2 -1\n", "negative edge count -1 at line 1"),
+            ("2 1\n0 1\n2 3\n", "line 3"),  # more members than declared
+            ("2 0\n0 1\n", "line 2"),
+            ("2\n", "line 1"),
+            ("", "line 1"),
+        ],
+    )
+    def test_rejects_malformed(self, text, where):
+        with pytest.raises(ValueError, match=where):
+            KMatching.from_text(text)
 
 
 def test_kmatching_validation():
