@@ -136,34 +136,36 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _from_sorted_pairs(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:
-    """Build CSR adjacency from edges already sorted lexicographically.
+def _from_upper_rows(n: int, counts: np.ndarray, ev: np.ndarray) -> Graph:
+    """Build the graph whose edges, sorted lexicographically, are given as
+    ``counts[u]``, the number of edges (u, *), and their larger endpoints
+    ``ev`` (int32).
 
-    The symmetric adjacency comes from scipy's compiled COO->CSR counting
-    sort, which is stable: listing every row's smaller neighbours (the
-    ``ev`` side) before its larger ones (the ``eu`` side) makes each row
-    come out ascending, so no index sort follows and the build is O(n + m).
+    These are already the CSR rows of the upper triangle: each vertex's
+    larger neighbours, ascending.  scipy's compiled CSR->CSC counting sort
+    transposes them over m entries; it is stable, so each transposed row
+    lists the vertex's smaller neighbours ascending.  Every adjacency row
+    is that run followed by the upper one, so the build is O(n + m) and
+    sorts nothing.
     """
-    eu = np.ascontiguousarray(eu, dtype=np.int32)
-    ev = np.ascontiguousarray(ev, dtype=np.int32)
-    m = eu.shape[0]
-    if m == 0:
-        return Graph(
-            n,
-            _freeze(np.zeros(n + 1, dtype=np.int64)),
-            _freeze(np.empty(0, dtype=np.int32)),
-            _freeze(eu),
-            _freeze(ev),
-        )
-    adj = sparse.coo_matrix(
-        (
-            np.ones(2 * m, dtype=np.int8),
-            (np.concatenate([ev, eu]), np.concatenate([eu, ev])),
-        ),
-        shape=(n, n),
-    ).tocsr()
-    indptr = adj.indptr.astype(np.int64)
-    indices = adj.indices.astype(np.int32, copy=False)
+    m = ev.shape[0]
+    upper_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=upper_ptr[1:])
+    lower = sparse.csr_matrix(
+        (np.ones(m, dtype=np.int8), ev, upper_ptr), shape=(n, n)
+    ).tocsc()
+    lower_ptr = lower.indptr.astype(np.int64)
+    # True at each row's smaller-neighbour slots, False at its larger ones
+    is_lower = np.repeat(
+        np.tile(np.array([True, False]), n),
+        np.stack([np.diff(lower_ptr), counts], axis=1).ravel(),
+    )
+    indices = np.empty(2 * m, dtype=np.int32)
+    indices[is_lower] = lower.indices
+    del lower
+    indices[~is_lower] = ev
+    eu = np.repeat(np.arange(n, dtype=np.int32), counts)
+    indptr = upper_ptr + lower_ptr
     return Graph(n, _freeze(indptr), _freeze(indices), _freeze(eu), _freeze(ev))
 
 
@@ -183,7 +185,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     for i in range(1, m):
         if pairs[i] == pairs[i - 1]:
             raise ValueError(f"duplicate edge {pairs[i]}")
-    return _from_sorted_pairs(n, eu, ev)
+    return _from_upper_rows(n, np.bincount(eu, minlength=n), ev)
 
 
 def path_graph(n: int) -> Graph:
@@ -213,6 +215,34 @@ def _pair_offsets(n: int) -> np.ndarray:
     return a * n - a * (a + 1) // 2
 
 
+def _pair_batches(n: int, p: float, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The linear indices of the selected pairs, ascending, in int64
+    batches of at most ``_BATCH_CAP``."""
+    total = n * (n - 1) // 2
+    if total == 0 or p <= 0.0:
+        return
+    if p >= 1.0:
+        for start in range(0, total, _BATCH_CAP):
+            yield np.arange(start, min(start + _BATCH_CAP, total), dtype=np.int64)
+        return
+    log_q = math.log1p(-p)
+    pos = -1
+    while pos < total - 1:
+        expected = (total - 1 - pos) * p
+        batch = int(min(max(expected * 1.125 + 64.0, 1024.0), _BATCH_CAP))
+        # gaps floor(log1p(-u) / log_q) + 1, computed in place; a gap past
+        # the last pair ends the walk: clamp before the cast
+        u = rng.random(batch)
+        np.log1p(np.negative(u, out=u), out=u)
+        u /= log_q
+        idx = np.minimum(u, total, out=u).astype(np.int64)
+        idx += 1
+        np.cumsum(idx, out=idx)
+        idx += pos
+        pos = int(idx[-1])
+        yield idx[: int(np.searchsorted(idx, total, side="left"))]
+
+
 def sample_gnp(params: GnpParams) -> Graph:
     """Sample G(n,p): every vertex pair is an edge independently with
     probability p.
@@ -221,42 +251,28 @@ def sample_gnp(params: GnpParams) -> Graph:
     selected indices differ by Geometric(p) jumps computed as
     ``floor(log1p(-U)/log1p(-p)) + 1`` from uniforms U drawn in fixed-size
     batches, so the draw sequence (hence the graph) is a pure function of
-    the seed.
+    the seed.  Each batch is decoded to int32 larger endpoints as it is
+    drawn; no array of all the pair indices is ever held.
     """
-    n, p = params.n, params.p
-    total = n * (n - 1) // 2
+    n = params.n
     rng = np.random.default_rng(np.random.PCG64(params.seed))
-    if total == 0 or p <= 0.0:
-        t = np.empty(0, dtype=np.int64)
-    elif p >= 1.0:
-        t = np.arange(total, dtype=np.int64)
-    else:
-        log_q = math.log1p(-p)
-        chunks = []
-        pos = -1
-        while pos < total - 1:
-            expected = (total - 1 - pos) * p
-            batch = int(min(max(expected * 1.125 + 64.0, 1024.0), _BATCH_CAP))
-            u = rng.random(batch)
-            # a gap past the last pair ends the walk: clamp before the cast
-            gaps = np.minimum(np.log1p(-u) / log_q, total).astype(np.int64) + 1
-            idx = pos + np.cumsum(gaps)
-            cut = int(np.searchsorted(idx, total, side="left"))
-            if cut:
-                chunks.append(idx[:cut])
-            pos = int(idx[-1])
-        t = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    if t.shape[0] == 0:
-        return _from_sorted_pairs(
-            n, np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
-        )
-    # row u holds the pairs offs[u] <= t < offs[u+1]: n searches into the
-    # sorted t instead of one search per pair
     offs = _pair_offsets(n)
-    counts = np.diff(np.searchsorted(t, offs))
-    us = np.repeat(np.arange(n, dtype=np.int32), counts)
-    vs = t - np.repeat(offs[:-1] - np.arange(n) - 1, counts)
-    return _from_sorted_pairs(n, us, vs.astype(np.int32))
+    counts = np.zeros(n, dtype=np.int64)
+    ev_runs = [np.empty(0, dtype=np.int32)]
+    for t in _pair_batches(n, params.p, rng):
+        if t.size == 0:
+            continue
+        # the batch covers rows lo..hi-1, row u holding the pairs
+        # offs[u] <= t < offs[u+1]: search only those rows' offsets
+        lo = int(np.searchsorted(offs, t[0], side="right")) - 1
+        hi = int(np.searchsorted(offs, t[-1], side="right"))
+        run = np.diff(np.searchsorted(t, offs[lo : hi + 1]))
+        counts[lo:hi] += run
+        shift = np.repeat(offs[lo:hi] - np.arange(lo, hi) - 1, run)
+        ev_runs.append((t - shift).astype(np.int32))
+    ev = np.concatenate(ev_runs)
+    del ev_runs  # freed before the build, which sets the peak
+    return _from_upper_rows(n, counts, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +470,14 @@ def _induced_edge_from_mask(g: Graph, mask: np.ndarray) -> Optional[tuple[int, i
 # ---------------------------------------------------------------------------
 
 
+def _ints(tokens: Sequence[str], line: int) -> list[int]:
+    """The tokens of one text line as ints; a non-integer names the line."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"{exc} at line {line}") from None
+
+
 def write_edge_list(g: Graph, target: Union[str, IO[str]]) -> None:
     close = False
     if isinstance(target, str):
@@ -477,7 +501,7 @@ def read_edge_list(source: Union[str, IO[str]]) -> Graph:
         header = source.readline().split()
         if len(header) != 2:
             raise ValueError("edge list header must be 'n m'")
-        n, m = int(header[0]), int(header[1])
+        n, m = _ints(header, 1)
         if n < 0 or m < 0:
             raise ValueError("negative counts in edge list header")
         eu = np.empty(m, dtype=np.int32)
@@ -487,7 +511,7 @@ def read_edge_list(source: Union[str, IO[str]]) -> Graph:
             parts = source.readline().split()
             if len(parts) != 2:
                 raise ValueError(f"malformed edge line {i + 2}")
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ints(parts, i + 2)
             if u == v:
                 raise ValueError(f"self-loop {u} {v} at line {i + 2}")
             if not (0 <= u < v < n):
@@ -501,7 +525,7 @@ def read_edge_list(source: Union[str, IO[str]]) -> Graph:
             ev[i] = v
         if source.readline().strip():
             raise ValueError("trailing content after declared edge count")
-        return _from_sorted_pairs(n, eu, ev)
+        return _from_upper_rows(n, np.bincount(eu, minlength=n), ev)
     finally:
         if close:
             source.close()

@@ -34,6 +34,7 @@ from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     _bfs,
     _gather_neighbors,
     _induced_edge_from_mask,
+    _ints,
 )
 
 __all__ = [
@@ -105,7 +106,7 @@ class KMatching:
         header = lines[0].split()
         if len(header) != 2:
             raise ValueError("matching header must be 'k m' at line 1")
-        k, m = int(header[0]), int(header[1])
+        k, m = _ints(header, 1)
         if m < 0:
             raise ValueError(f"negative edge count {m} at line 1")
         pairs = []
@@ -113,7 +114,7 @@ class KMatching:
             parts = lines[i].split() if i < len(lines) else []
             if len(parts) != 2:
                 raise ValueError(f"malformed edge line {i + 1}")
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ints(parts, i + 1)
             if u >= v:
                 raise ValueError(f"edge {u} {v} is not normalized at line {i + 1}")
             pairs.append((u, v))
@@ -162,13 +163,14 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     partner = np.full(g.n, -1, dtype=np.int64)
     partner[mu], partner[mv] = mv, mu
     near = np.flatnonzero(dist <= max(k - 2, 0) // 2)
-    x = np.repeat(near, g.indptr[near + 1] - g.indptr[near])
+    degs = g.indptr[near + 1] - g.indptr[near]
+    x = np.repeat(near, degs)
     y = _gather_neighbors(g, near)
     # at most one hit per distinct matched vertex: fewer than 2|m| hits
     # mean a member is not an edge or two members share an endpoint
     if not np.all(mu < mv) or np.count_nonzero(y == partner[x]) < src.size:
         return dist, False
-    close = dist[x] + dist[y] <= k - 2
+    close = np.repeat(dist[near], degs) + dist[y] <= k - 2
     return dist, not np.any(owner[x[close]] != owner[y[close]])
 
 

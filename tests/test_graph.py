@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 import kmatch as km
 from kmatch.graph import UNREACHABLE, GnpParams, _ball, bounded_ball, distance_to_set
 
+import gnp_reference
 from bfs_reference import python_ball
+from gnp_reference import reference_csr, reference_sample_gnp
 
 
 def test_edge_normalizes_and_rejects_loops():
@@ -125,6 +128,64 @@ class TestSampling:
         bound = 2 * math.exp(-0.005 * np_mean)
         margin = 3 * math.sqrt(max(bound * (1 - bound), 1e-12) / samples)
         assert bad / samples <= bound + margin
+
+    def test_peak_memory_at_most_three_graphs(self):
+        # the decode holds no array of all pair indices and the CSR build
+        # no 2m-long symmetric COO; holding both costs about 3.9x the graph
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            g = km.sample_gnp(GnpParams(10**5, 1e-3, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(a.nbytes for a in (g.indptr, g.indices, g.eu, g.ev))
+        assert peak <= 3 * nbytes
+
+
+def graph_arrays(g):
+    return g.indptr, g.indices, g.eu, g.ev
+
+
+def assert_same_arrays(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+class TestSamplerAgainstReference:
+    """Byte-for-byte against the global-index sampler and COO build kept in
+    tests/gnp_reference.py."""
+
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(0, 0.5, 1), (1, 0.5, 1), (2, 0.5, 1), (2, 0.5, 4), (40, 0.0, 2)]
+        + [(40, 1.0, 2), (2, 1.0, 3), (2000, 1e-19, 3), (2000, 1e-7, 4)]
+        + [(n, p, s) for n in (3, 17, 300, 2500) for p in (0.003, 0.1, 0.6, 0.97) for s in (0, 1)],
+    )
+    def test_sample_gnp(self, n, p, seed):
+        got = graph_arrays(km.sample_gnp(GnpParams(n, p, seed)))
+        assert_same_arrays(got, reference_sample_gnp(n, p, seed))
+
+    @pytest.mark.parametrize("n, p, seed", [(400, 0.05, 1), (3000, 0.004, 2), (90, 1.0, 3)])
+    def test_small_batches(self, monkeypatch, n, p, seed):
+        # many CSR rows straddle two batches
+        monkeypatch.setattr(km.graph, "_BATCH_CAP", 2048)
+        monkeypatch.setattr(gnp_reference, "_BATCH_CAP", 2048)
+        got = graph_arrays(km.sample_gnp(GnpParams(n, p, seed)))
+        assert_same_arrays(got, reference_sample_gnp(n, p, seed))
+
+    @given(
+        n=st.integers(0, 40),
+        pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=120),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_from_edges(self, n, pairs):
+        edges = sorted({km.graph.edge(u, v) for u, v in pairs if u != v and max(u, v) < n})
+        eu = np.array([u for u, _ in edges], dtype=np.int32)
+        ev = np.array([v for _, v in edges], dtype=np.int32)
+        got = graph_arrays(km.from_edges(n, [(v, u) for u, v in reversed(edges)]))
+        assert_same_arrays(got, reference_csr(n, eu, ev))
 
 
 def nx_graph(g):
@@ -380,6 +441,13 @@ class TestEdgeListIO:
     )
     def test_reader_rejects(self, bad):
         with pytest.raises(ValueError):
+            km.read_edge_list(io.StringIO(bad))
+
+    @pytest.mark.parametrize(
+        "bad, where", [("3 1\n0 x\n", "'x' at line 2"), ("3 m\n", "'m' at line 1")]
+    )
+    def test_reader_names_the_line_of_a_non_integer(self, bad, where):
+        with pytest.raises(ValueError, match=where):
             km.read_edge_list(io.StringIO(bad))
 
 

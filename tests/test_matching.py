@@ -668,6 +668,8 @@ class TestSerialization:
             ("2 0\n0 1\n", "line 2"),
             ("2\n", "line 1"),
             ("", "line 1"),
+            ("2 1\na b\n", "'a' at line 2"),  # non-integer token
+            ("2 x\n", "'x' at line 1"),
         ],
     )
     def test_rejects_malformed(self, text, where):
