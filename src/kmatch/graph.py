@@ -17,6 +17,7 @@ streams are stable across platforms).
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
@@ -492,7 +493,67 @@ def write_edge_list(g: Graph, target: Union[str, IO[str]]) -> None:
             target.close()
 
 
+def _canonical_edges(
+    text: str, n: int, m: int
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The endpoint arrays of an edge-list body in the writer's form,
+    parsed by numpy: m lines of two ASCII decimals of 1 to 9 digits (so
+    below 2^31) split by one space, then a blank line or the end, with the
+    edges strictly ascending and u < v < n.  Anything else gives None."""
+    data = text.encode()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if ends.size < m:
+        return None
+    stop = int(ends[m - 1]) + 1 if m else 0
+    after = int(ends[m]) if ends.size > m else raw.size
+    spaces = np.flatnonzero(raw[:stop] == ord(" "))
+    if spaces.size != m or data[stop:after].strip():
+        return None
+    seps = np.empty(2 * m, dtype=np.int64)
+    seps[0::2], seps[1::2] = spaces, ends[:m]
+    widths = np.diff(seps, prepend=-1) - 1
+    digits = np.count_nonzero(raw[:stop] - ord("0") < 10)
+    if digits != stop - 2 * m or not np.all((widths >= 1) & (widths <= 9)):
+        return None
+    u, v = np.fromstring(data[:stop], dtype=np.int64, sep=" ").reshape(-1, 2).T
+    du, dv = np.diff(u), np.diff(v)
+    if np.all(u < v) and np.all(v < n) and np.all((du > 0) | (du == 0) & (dv > 0)):
+        return u.astype(np.int32), v.astype(np.int32)
+    return None
+
+
+def _edge_lines(source: IO[str], n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint arrays of an edge-list body read line by line; raises
+    ValueError at the first malformed line."""
+    eu = np.empty(m, dtype=np.int32)
+    ev = np.empty(m, dtype=np.int32)
+    prev = (-1, -1)
+    for i in range(m):
+        parts = source.readline().split()
+        if len(parts) != 2:
+            raise ValueError(f"malformed edge line {i + 2}")
+        u, v = _ints(parts, i + 2)
+        if u == v:
+            raise ValueError(f"self-loop {u} {v} at line {i + 2}")
+        if not (0 <= u < v < n):
+            raise ValueError(f"edge {u} {v} out of range or not normalized")
+        if (u, v) <= prev:
+            raise ValueError(
+                f"edges must be strictly ascending lexicographic at line {i + 2}"
+            )
+        prev = (u, v)
+        eu[i] = u
+        ev[i] = v
+    if source.readline().strip():
+        raise ValueError("trailing content after declared edge count")
+    return eu, ev
+
+
 def read_edge_list(source: Union[str, IO[str]]) -> Graph:
+    """Parse ``write_edge_list`` output.  A body in the writer's form is
+    parsed by numpy; any other body is read line by line, which names the
+    first malformed line or accepts what int() and str.split() accept."""
     close = False
     if isinstance(source, str):
         source = open(source, "r")
@@ -504,27 +565,9 @@ def read_edge_list(source: Union[str, IO[str]]) -> Graph:
         n, m = _ints(header, 1)
         if n < 0 or m < 0:
             raise ValueError("negative counts in edge list header")
-        eu = np.empty(m, dtype=np.int32)
-        ev = np.empty(m, dtype=np.int32)
-        prev = (-1, -1)
-        for i in range(m):
-            parts = source.readline().split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed edge line {i + 2}")
-            u, v = _ints(parts, i + 2)
-            if u == v:
-                raise ValueError(f"self-loop {u} {v} at line {i + 2}")
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge {u} {v} out of range or not normalized")
-            if (u, v) <= prev:
-                raise ValueError(
-                    f"edges must be strictly ascending lexicographic at line {i + 2}"
-                )
-            prev = (u, v)
-            eu[i] = u
-            ev[i] = v
-        if source.readline().strip():
-            raise ValueError("trailing content after declared edge count")
+        text = source.read()
+        edges = _canonical_edges(text, n, m)
+        eu, ev = edges if edges is not None else _edge_lines(io.StringIO(text), n, m)
         return _from_upper_rows(n, np.bincount(eu, minlength=n), ev)
     finally:
         if close:

@@ -4,9 +4,10 @@ distance >= k+1).  k=1 gives ordinary matchings, k=2 induced matchings.
 
 Three constructions live here:
 
-* ``greedy_k_matching`` -- scan the edges in a seeded uniform random order,
-  keeping each edge compatible with everything kept so far.  Output is
-  always maximal.
+* ``greedy_k_matching`` -- random-order greedy: keep seeded uniform picks
+  among the edges compatible with everything kept so far (uniform draws
+  with replacement, then one shuffle of the edges still compatible) until
+  none is left.  Output is always maximal.
 * ``generator_algorithm`` -- pair 2s random vertices into s tentative pairs,
   then repeatedly replace the lowest-index invalid pair by a random edge
   whose endpoints a per-vertex coverage counter puts at distance >= k from
@@ -221,17 +222,20 @@ _SCAN_CHUNK = 1 << 16
 
 
 def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
-    """Scan the edges in a seeded uniform random order and keep every edge
-    whose endpoints are still at distance >= k from all kept edges.
+    """Random-order greedy: keep edges one at a time, each a seeded uniform
+    pick among the available edges (endpoints at distance >= k from all
+    kept edges), until none is left.  The output is a maximal k-matching.
 
-    A vertex once within distance k-1 of the matching stays so, which lets
-    the scan discard blocked edges in vectorized chunks; after each chunk,
-    while more than a chunk of the order remains, the rest of the order is
-    compacted to the edges with no blocked endpoint.  Dropped edges would
-    be skipped anyway and the kept ones keep their order, so the output is
-    the plain sequential scan's.  A kept edge blocks its radius-(k-1) ball,
-    gathered from the CSR arrays.  The output is always a maximal
-    k-matching.
+    A kept edge blocks its radius-(k-1) ball, endpoints included, and
+    blocking only grows.  A scan of all m edges in uniform random order
+    keeps the first available edge of the uniform order still to come,
+    which holds every available edge: a uniform pick.  This scan makes the
+    same picks without permuting the m edges.  It draws edge ids uniformly
+    with replacement, min(2^16, m) at a time, skipping repeated and blocked
+    draws, while more than half of a chunk's draws were available at its
+    start; then it shuffles the edges still available and scans them in
+    that uniform order, compacting the rest to the available edges after
+    each chunk.  Each chunk is prefiltered by its endpoints' blocked flags.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -239,11 +243,13 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
     if m == 0:
         return KMatching(k, frozenset())
     rng = np.random.default_rng(np.random.PCG64(seed))
-    rest = rng.permutation(m)
+    chunk = min(_SCAN_CHUNK, m)
     blocked = np.zeros(g.n, dtype=bool)
     chosen: list[tuple[int, int]] = []
-    while rest.size:
-        idx = rest[:_SCAN_CHUNK]
+
+    def scan(idx: np.ndarray) -> int:
+        """Keep the available edges of idx in order; returns how many of
+        idx were available at the start."""
         cu = g.eu[idx]
         cv = g.ev[idx]
         live = ~(blocked[cu] | blocked[cv])
@@ -252,15 +258,17 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
                 continue
             chosen.append((u, v))
             blocked[_ball(g, (u, v), k - 1)] = True
-        rest = rest[_SCAN_CHUNK:]
-        if rest.size > _SCAN_CHUNK:
-            if 6 * rest.size > m:
-                # cheaper to read the edge arrays in order than to gather
-                # them in scan order
-                keep = ~(blocked[g.eu] | blocked[g.ev])[rest]
-            else:
-                keep = ~(blocked[g.eu[rest]] | blocked[g.ev[rest]])
-            rest = rest[keep]
+        return int(np.count_nonzero(live))
+
+    while 2 * scan(rng.integers(m, size=chunk)) > chunk:
+        pass
+    rest = np.flatnonzero(~(blocked[g.eu] | blocked[g.ev]))
+    rng.shuffle(rest)
+    while rest.size:
+        scan(rest[:chunk])
+        rest = rest[chunk:]
+        if rest.size > chunk:
+            rest = rest[~(blocked[g.eu[rest]] | blocked[g.ev[rest]])]
     return KMatching(k, frozenset(chosen))
 
 

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kmatch as km
-from kmatch.graph import UNREACHABLE, GnpParams, _ball, bounded_ball, distance_to_set
+from kmatch.graph import (
+    UNREACHABLE,
+    GnpParams,
+    _ball,
+    _ints,
+    bounded_ball,
+    distance_to_set,
+)
 
 import gnp_reference
 from bfs_reference import python_ball
@@ -414,6 +421,83 @@ def test_distances_match_networkx(seed):
             assert km.edge_distance(g, e, f) == expected
 
 
+def reference_read_edge_list(source):
+    """The line-by-line edge-list reader: one readline, split and int() per
+    line."""
+    header = source.readline().split()
+    if len(header) != 2:
+        raise ValueError("edge list header must be 'n m'")
+    n, m = _ints(header, 1)
+    if n < 0 or m < 0:
+        raise ValueError("negative counts in edge list header")
+    eu = np.empty(m, dtype=np.int32)
+    ev = np.empty(m, dtype=np.int32)
+    prev = (-1, -1)
+    for i in range(m):
+        parts = source.readline().split()
+        if len(parts) != 2:
+            raise ValueError(f"malformed edge line {i + 2}")
+        u, v = _ints(parts, i + 2)
+        if u == v:
+            raise ValueError(f"self-loop {u} {v} at line {i + 2}")
+        if not (0 <= u < v < n):
+            raise ValueError(f"edge {u} {v} out of range or not normalized")
+        if (u, v) <= prev:
+            raise ValueError(
+                f"edges must be strictly ascending lexicographic at line {i + 2}"
+            )
+        prev = (u, v)
+        eu[i] = u
+        ev[i] = v
+    if source.readline().strip():
+        raise ValueError("trailing content after declared edge count")
+    return km.from_edges(n, zip(eu.tolist(), ev.tolist()))
+
+
+# whitespace, non-decimal and non-ASCII tokens that int() or str.split()
+# accept or reject, and edge lines in and out of range or order
+TEXT_PIECES = st.one_of(
+    st.sampled_from(
+        ["", " ", "  ", "\t", "\r", "\u2003", "\x1c", "x", "+1", "-1", "007",
+         "1_0", "\u0663", "1.0", "1 2 3", "1234567890", "\n"]
+    ),
+    st.builds("{} {}".format, st.integers(0, 12), st.integers(0, 12)),
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """``write_edge_list`` output of a small G(n,p), as written or with a
+    few pieces replacing, inserted before, or added to either end of lines
+    after the header, and sometimes a wrong edge count in the header."""
+    n = draw(st.integers(0, 9))
+    p = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    g = km.sample_gnp(GnpParams(n, p, draw(st.integers(0, 99))))
+    buf = io.StringIO()
+    km.write_edge_list(g, buf)
+    lines = buf.getvalue().split("\n")
+    if draw(st.booleans()):
+        lines[0] = f"{g.n} {draw(st.integers(0, g.edge_count + 2))}"
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        piece = draw(TEXT_PIECES)
+        how = draw(st.sampled_from(["replace", "insert", "prepend", "append"]))
+        if how == "replace":
+            lines[i] = piece
+        elif how == "insert":
+            lines.insert(i, piece)
+        else:
+            lines[i] = piece + lines[i] if how == "prepend" else lines[i] + piece
+    return "\n".join(lines)
+
+
+def read_outcome(reader, text):
+    try:
+        return reader(io.StringIO(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 class TestEdgeListIO:
     def test_round_trip(self):
         g = km.sample_gnp(GnpParams(40, 0.15, 11))
@@ -442,6 +526,30 @@ class TestEdgeListIO:
     def test_reader_rejects(self, bad):
         with pytest.raises(ValueError):
             km.read_edge_list(io.StringIO(bad))
+
+    @given(edge_list_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_reader_against_reference(self, text):
+        # the same graph, or the same error message
+        got = read_outcome(km.read_edge_list, text)
+        assert got == read_outcome(reference_read_edge_list, text)
+
+    def test_reader_at_scale(self):
+        # the writer's form takes the numpy parse and a space before each
+        # line end the line-by-line walk; an error deep in the body names
+        # the line the reference names
+        g = km.sample_gnp(GnpParams(20_000, 5e-4, 3))
+        buf = io.StringIO()
+        km.write_edge_list(g, buf)
+        text = buf.getvalue()
+        assert read_outcome(km.read_edge_list, text) == g
+        assert read_outcome(km.read_edge_list, text.replace("\n", " \n")) == g
+        lines = text.split("\n")
+        lines[60_000] += " 5"
+        for bad in (text + "0 1\n", "\n".join(lines)):
+            got = read_outcome(km.read_edge_list, bad)
+            assert got == read_outcome(reference_read_edge_list, bad)
+            assert got[0] is ValueError
 
     @pytest.mark.parametrize(
         "bad, where", [("3 1\n0 x\n", "'x' at line 2"), ("3 m\n", "'m' at line 1")]

@@ -1,14 +1,19 @@
+import collections
 import heapq
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import kmatch as km
+from kmatch import matching
 from kmatch.analytic import AsymptoticParams
 from kmatch.graph import GnpParams, distance_to_set
 from kmatch.matching import (
@@ -120,30 +125,72 @@ def reference_generator_algorithm(g, cfg):
     )
 
 
+def walk_greedy(g, k, order, blocked, chosen):
+    """Walk the edge ids of ``order`` one at a time, keeping each edge with
+    no blocked endpoint and blocking its Python BFS ball (``blocked`` is a
+    list of bools)."""
+    eu, ev = g.eu.tolist(), g.ev.tolist()
+    for j in order:
+        u, v = eu[j], ev[j]
+        if not (blocked[u] or blocked[v]):
+            chosen.append((u, v))
+            for w in python_ball(g, (u, v), k - 1):
+                blocked[w] = True
+
+
 def reference_greedy_k_matching(g, k, seed):
-    """Reference greedy scan: the seeded permutation walked in chunks with
-    no compaction, each kept edge blocking its Python BFS ball.  It
-    consumes the RNG exactly as ``greedy_k_matching`` must."""
+    """Reference greedy scan: chunks of min(_SCAN_CHUNK, m) edge ids drawn
+    with replacement while more than half of a chunk's draws have no
+    blocked endpoint when the chunk starts, then one shuffle of the edges
+    with no blocked endpoint, each walked one edge at a time with no
+    compaction.  It consumes the RNG exactly as ``greedy_k_matching``
+    must."""
     if k < 1:
         raise ValueError("k must be >= 1")
     m = g.edge_count
     if m == 0:
         return KMatching(k, frozenset())
     rng = np.random.default_rng(np.random.PCG64(seed))
-    order = rng.permutation(m)
-    blocked = np.zeros(g.n, dtype=bool)
+    chunk = min(matching._SCAN_CHUNK, m)
+    blocked = [False] * g.n
     chosen = []
-    for start in range(0, m, _SCAN_CHUNK):
-        idx = order[start : start + _SCAN_CHUNK]
-        cu = g.eu[idx]
-        cv = g.ev[idx]
-        live = ~(blocked[cu] | blocked[cv])
-        for u, v in zip(cu[live].tolist(), cv[live].tolist()):
-            if blocked[u] or blocked[v]:
-                continue
-            chosen.append((u, v))
-            blocked[python_ball(g, (u, v), k - 1)] = True
+    edges = list(g.edges())
+    while True:
+        draws = rng.integers(m, size=chunk).tolist()
+        live = sum(not (blocked[edges[j][0]] or blocked[edges[j][1]]) for j in draws)
+        walk_greedy(g, k, draws, blocked, chosen)
+        if 2 * live <= chunk:
+            break
+    rest = [j for j, (u, v) in enumerate(edges) if not (blocked[u] or blocked[v])]
+    rest = np.array(rest, dtype=np.int64)
+    rng.shuffle(rest)
+    walk_greedy(g, k, rest.tolist(), blocked, chosen)
     return KMatching(k, frozenset(chosen))
+
+
+def reference_permutation_greedy(g, k, seed):
+    """The scan ``greedy_k_matching`` made before it drew with replacement:
+    all m edges in the order ``rng.permutation(m)``."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    blocked = [False] * g.n
+    chosen = []
+    if g.edge_count:
+        walk_greedy(g, k, rng.permutation(g.edge_count).tolist(), blocked, chosen)
+    return KMatching(k, frozenset(chosen))
+
+
+def greedy_law(g, k):
+    """Exact output distribution of random-order greedy on g, from the
+    walk over every one of the m! edge orders."""
+    counts = collections.Counter()
+    for order in itertools.permutations(range(g.edge_count)):
+        chosen = []
+        walk_greedy(g, k, order, [False] * g.n, chosen)
+        counts[frozenset(chosen)] += 1
+    total = math.factorial(g.edge_count)
+    return {edges: Fraction(c, total) for edges, c in counts.items()}
 
 
 def reference_is_k_matching(g, m):
@@ -291,6 +338,18 @@ class TestGreedy:
         a = km.greedy_k_matching(g, 2, 11)
         b = km.greedy_k_matching(g, 2, 11)
         assert a.edges == b.edges
+
+    def test_peak_memory_below_an_edge_permutation(self):
+        # an int64 order of all m edge ids alone takes 8 bytes per edge
+        g = km.sample_gnp(GnpParams(10**5, 2e-4, 5))
+        for k in (2, 3):
+            tracemalloc.start()
+            try:
+                km.greedy_k_matching(g, k, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * g.edge_count, (k, peak / g.edge_count)
 
     @given(st.integers(0, 10**6), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
@@ -441,15 +500,15 @@ class TestGenerator:
 
 
 class TestGreedyAgainstReference:
-    """``greedy_k_matching`` compacts the scan order and gathers balls from
-    the CSR arrays; it must keep exactly the edges the plain chunked scan
-    with Python balls keeps."""
+    """``greedy_k_matching`` prefilters and compacts in chunks and gathers
+    balls from the CSR arrays; it must keep exactly the edges the plain
+    one-edge-at-a-time scan with Python balls keeps."""
 
     @pytest.mark.parametrize(
         "n, d, ks",
-        # 60000 at d=12 has over 5 chunks of edges, so the rest of the order
-        # is compacted several times; 10^5 at d=20 and k=1 leaves more than a
-        # chunk after the first compaction, so the later ones gather
+        # 2000 at d=6 has fewer edges than a chunk, so a chunk is m draws;
+        # 60000 at d=12 has over 5 chunks of edges and 10^5 at d=20 and k=1
+        # leaves over a chunk of edges to shuffle
         [
             (2000, 6.0, (1, 2, 3, 4)),
             (60000, 12.0, (1, 2, 3, 4)),
@@ -464,6 +523,16 @@ class TestGreedyAgainstReference:
             for seed in range(3):
                 got = km.greedy_k_matching(g, k, seed)
                 assert got == reference_greedy_k_matching(g, k, seed), (k, seed)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_small_chunks(self, monkeypatch, k):
+        # with 64-edge chunks this graph takes 2 to 9 chunks of draws before
+        # the switch, and its shuffled rest is compacted 3 to 14 times
+        monkeypatch.setattr(matching, "_SCAN_CHUNK", 64)
+        g = km.sample_gnp(GnpParams(3000, 4.0 / 3000, 7))
+        for seed in range(3):
+            got = km.greedy_k_matching(g, k, seed)
+            assert got == reference_greedy_k_matching(g, k, seed), seed
 
     @pytest.mark.parametrize(
         "g",
@@ -487,6 +556,46 @@ class TestGreedyAgainstReference:
         g = km.sample_gnp(GnpParams(n, p, seed))
         got = km.greedy_k_matching(g, k, seed)
         assert got == reference_greedy_k_matching(g, k, seed)
+
+
+class TestGreedyLaw:
+    """Over fixed seeds, greedy must follow the exact output law of
+    random-order greedy, enumerated over all m! edge orders: no output
+    outside its support, and a chi-square statistic below the 0.999
+    quantile.  The permutation scan passes the same test."""
+
+    TRIALS = 4000
+
+    @pytest.mark.parametrize(
+        "greedy, chunk",
+        [
+            (km.greedy_k_matching, _SCAN_CHUNK),
+            (km.greedy_k_matching, 1),
+            (reference_permutation_greedy, _SCAN_CHUNK),
+        ],
+        ids=["library", "library-chunk1", "permutation"],
+    )
+    @pytest.mark.parametrize(
+        "g, k",
+        [
+            (km.path_graph(6), 1),
+            (km.path_graph(7), 2),
+            (km.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)]), 1),
+        ],
+        ids=["path6-k1", "path7-k2", "c4-pendant-k1"],
+    )
+    def test_chi_square(self, monkeypatch, g, k, greedy, chunk):
+        # whole-graph chunks rarely leave two edges to shuffle; one-edge
+        # chunks switch to the shuffle at the first blocked draw
+        monkeypatch.setattr(matching, "_SCAN_CHUNK", chunk)
+        law = greedy_law(g, k)
+        counts = collections.Counter(
+            greedy(g, k, seed).edges for seed in range(self.TRIALS)
+        )
+        assert set(counts) <= set(law)
+        expected = {e: self.TRIALS * float(q) for e, q in law.items()}
+        stat = sum((counts[e] - x) ** 2 / x for e, x in expected.items())
+        assert stat < stats.chi2.ppf(0.999, len(law) - 1), stat
 
 
 @st.composite
