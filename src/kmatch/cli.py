@@ -52,13 +52,14 @@ def _add_graph_source(p: argparse.ArgumentParser, need_seed: bool = True) -> Non
     )
 
 
-def _add_scale(p: argparse.ArgumentParser) -> None:
-    """--n, exactly one of --d and --p, and --k."""
+def _add_scale(p: argparse.ArgumentParser, with_k: bool = True) -> None:
+    """--n, exactly one of --d and --p, and --k unless with_k is False."""
     p.add_argument("--n", type=_count, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--d", type=float)
     group.add_argument("--p", type=float)
-    p.add_argument("--k", type=int, required=True)
+    if with_k:
+        p.add_argument("--k", type=int, required=True)
 
 
 def _resolve_graph(args: argparse.Namespace):
@@ -112,12 +113,7 @@ def _cmd_generator(args) -> int:
         # a sampled graph targets its configured degree, as `experiment` does;
         # only an --input graph falls back to its mean degree
         s = matching.default_pair_count(_params_from_args(args))
-    cfg = matching.GeneratorConfig(
-        k=args.k,
-        seed=args.seed,
-        s_override=s,
-        max_repair_iterations=args.max_repairs,
-    )
+    cfg = matching.GeneratorConfig(k=args.k, seed=args.seed, s_override=s)
     try:
         m = matching.generator_algorithm(g, cfg)
     except matching.GeneratorStalled as exc:
@@ -263,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="sample G(n,p) and write an edge list")
-    _add_graph_source(p)
+    _add_scale(p, with_k=False)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="output edge-list path (default: stdout)")
     p.set_defaults(func=_cmd_gen)
 
@@ -283,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, help="target size (default: closed form)")
-    p.add_argument("--max-repairs", type=int, help="repair iteration budget")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generator)
 

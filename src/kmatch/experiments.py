@@ -99,7 +99,6 @@ class TrialConfig:
     p: Optional[float] = None
     measure_runtime: bool = False
     s_override: Optional[int] = None
-    max_repair_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
         if (self.d is None) == (self.p is None):
@@ -224,12 +223,7 @@ def _trial(
         if cfg.algorithm == "greedy":
             matching = greedy_k_matching(g, cfg.k, _sub_seed(seed, 1))
         elif cfg.algorithm == "generator":
-            gen_cfg = GeneratorConfig(
-                k=cfg.k,
-                seed=_sub_seed(seed, 1),
-                s_override=s,
-                max_repair_iterations=cfg.max_repair_iterations,
-            )
+            gen_cfg = GeneratorConfig(k=cfg.k, seed=_sub_seed(seed, 1), s_override=s)
             try:
                 matching = generator_algorithm(g, gen_cfg)
             except GeneratorStalled:

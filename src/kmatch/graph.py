@@ -27,7 +27,6 @@ from scipy import sparse
 
 __all__ = [
     "UNREACHABLE",
-    "Edge",
     "GnpParams",
     "Graph",
     "bounded_ball",
@@ -50,8 +49,6 @@ __all__ = [
 #: Sentinel distance for vertex pairs with no connecting path.  Compares
 #: greater than every finite distance.
 UNREACHABLE = math.inf
-
-Edge = tuple  # normalized (u, v) with u < v
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
@@ -94,9 +91,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return int(self.eu.shape[0])
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v (read-only view)."""
@@ -232,9 +226,12 @@ def _pair_batches(n: int, p: float, rng: np.random.Generator) -> Iterator[np.nda
         expected = (total - 1 - pos) * p
         batch = int(min(max(expected * 1.125 + 64.0, 1024.0), _BATCH_CAP))
         # gaps floor(log1p(-u) / log_q) + 1, computed in place; a gap past
-        # the last pair ends the walk: clamp before the cast
+        # the last pair ends the walk: clamp before the cast.  Numerators are
+        # first clamped at 2*total gaps, which end the walk as well, so a
+        # log_q near the subnormal range cannot overflow the division.
         u = rng.random(batch)
         np.log1p(np.negative(u, out=u), out=u)
+        np.maximum(u, 2.0 * total * log_q, out=u)
         u /= log_q
         idx = np.minimum(u, total, out=u).astype(np.int64)
         idx += 1
@@ -498,17 +495,16 @@ def _canonical_edges(
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The endpoint arrays of an edge-list body in the writer's form,
     parsed by numpy: m lines of two ASCII decimals of 1 to 9 digits (so
-    below 2^31) split by one space, then a blank line or the end, with the
-    edges strictly ascending and u < v < n.  Anything else gives None."""
+    below 2^31) split by one space, then only whitespace, with the edges
+    strictly ascending and u < v < n.  Anything else gives None."""
     data = text.encode()
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
     if ends.size < m:
         return None
     stop = int(ends[m - 1]) + 1 if m else 0
-    after = int(ends[m]) if ends.size > m else raw.size
     spaces = np.flatnonzero(raw[:stop] == ord(" "))
-    if spaces.size != m or data[stop:after].strip():
+    if spaces.size != m or data[stop:].strip():
         return None
     seps = np.empty(2 * m, dtype=np.int64)
     seps[0::2], seps[1::2] = spaces, ends[:m]
@@ -545,7 +541,7 @@ def _edge_lines(source: IO[str], n: int, m: int) -> tuple[np.ndarray, np.ndarray
         prev = (u, v)
         eu[i] = u
         ev[i] = v
-    if source.readline().strip():
+    if source.read().strip():
         raise ValueError("trailing content after declared edge count")
     return eu, ev
 

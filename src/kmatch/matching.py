@@ -9,16 +9,16 @@ Three constructions live here:
   with replacement, then one shuffle of the edges still compatible) until
   none is left.  Output is always maximal.
 * ``generator_algorithm`` -- pair 2s random vertices into s tentative pairs,
-  then repeatedly replace the lowest-index invalid pair by a random edge
-  whose endpoints a per-vertex coverage counter puts at distance >= k from
-  the selection, until the s pairs form a k-matching of exactly that size.
+  then, in one ascending pass over the pairs invalid at the start, replace
+  each one still invalid by a random edge whose endpoints a per-vertex
+  coverage counter puts at distance >= k from the selection; the s pairs
+  then form a k-matching of exactly that size after at most s repairs.
 * ``exact_um_k`` -- branch-and-bound over the edge compatibility graph,
   for small instances only; returns the k-matching number and a witness.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -59,8 +59,9 @@ class InvalidMatchingError(ValueError):
 
 
 class GeneratorStalled(RuntimeError):
-    """The repair loop ran out of candidate edges or iterations; the
-    with-high-probability guarantee did not materialize at this (n, d, k)."""
+    """A repair found no edge induced by the far set F (``far_size`` = |F|)
+    after ``iterations`` repairs; the with-high-probability guarantee did
+    not materialize at this (n, d, k)."""
 
     def __init__(self, message: str, iterations: int, far_size: int) -> None:
         super().__init__(message)
@@ -130,10 +131,10 @@ def matched_vertices(m: KMatching) -> list[int]:
 
 
 def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
-    """Distance from every vertex to the matched vertices, truncated at
-    max(k, 1) as ``distance_to_set`` gives it, and whether m is a
-    k-matching of g.  The distances come with either verdict.  Raises
-    InvalidMatchingError when a member is not a pair of vertex ids of g.
+    """Distance from every vertex to the matched vertices, truncated at k
+    as ``distance_to_set`` gives it, and whether m is a k-matching of g.
+    The distances come with either verdict.  Raises InvalidMatchingError
+    when a member is not a pair of vertex ids of g.
 
     One multi-source BFS from the matched vertices labels each vertex with
     the member that owns a nearest matched vertex.  Two members lie within
@@ -160,7 +161,7 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     src = np.concatenate([mu, mv])
     owner = np.full(g.n, -1, dtype=np.int32)
     owner[src] = np.tile(np.arange(mu.size, dtype=np.int32), 2)
-    dist = _bfs(g, src, max(k, 1), owner)
+    dist = _bfs(g, src, k, owner)
     partner = np.full(g.n, -1, dtype=np.int64)
     partner[mu], partner[mv] = mv, mu
     near = np.flatnonzero(dist <= max(k - 2, 0) // 2)
@@ -282,22 +283,19 @@ class GeneratorConfig:
     """Settings for ``generator_algorithm``.
 
     ``s_override`` fixes the target size; otherwise s is
-    ``default_pair_count`` at the graph's mean degree.
-    ``max_repair_iterations`` defaults to max(10*s, 1000).
+    ``default_pair_count`` at the graph's mean degree.  The repair loop
+    needs no budget: it makes at most s repairs.
     """
 
     k: int
     seed: int
     s_override: Optional[int] = None
-    max_repair_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("generator needs k >= 2")
         if self.s_override is not None and self.s_override < 1:
             raise ValueError("s_override must be >= 1")
-        if self.max_repair_iterations is not None and self.max_repair_iterations < 1:
-            raise ValueError("max_repair_iterations must be >= 1")
 
 
 _REJECTION_TRIES = 256
@@ -318,14 +316,17 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
     within distance k-1: the set F of vertices at distance >= k from the
     selection is where it reads 0, and a pair is valid (an edge with no
     other selected vertex within distance k-1) iff it reads 2 at both
-    endpoints.  Each repair takes the lowest-index invalid pair's two balls
-    off the counter and adds those of a uniformly random edge induced by F
-    (drawn by rejection from the edge list, with an exact scan fallback):
-    O(d^(k-1)) work, not O(n).  Inserted pairs are valid against everything
-    selected and stay valid, so the invalid count strictly decreases.
+    endpoints.  One ascending pass visits the pairs invalid at the start;
+    each one still invalid has its two balls taken off the counter and
+    replaced by those of a uniformly random edge induced by F (drawn by
+    rejection from the edge list, with an exact scan fallback): O(d^(k-1))
+    work, not O(n).  The new endpoints read 0 once the old balls are off
+    and exactly 2 (the pair itself) after the insertion, whose balls hold
+    no other selected vertex; removals only lower counts.  So a repaired
+    pair is valid, a valid pair stays valid, and the pass ends with every
+    pair valid after at most s repairs.
 
-    Raises GeneratorStalled, carrying |F|, when F induces no edge or the
-    iteration budget is exhausted.
+    Raises GeneratorStalled, carrying |F|, when F induces no edge.
     """
     k = cfg.k
     s = cfg.s_override
@@ -334,11 +335,6 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
         s = default_pair_count(params)
     if 2 * s > g.n:
         raise ValueError(f"need 2s={2 * s} <= n={g.n} distinct vertices")
-    max_iter = (
-        cfg.max_repair_iterations
-        if cfg.max_repair_iterations is not None
-        else max(10 * s, 1000)
-    )
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     draw = rng.choice(g.n, size=2 * s, replace=False)
     pu = np.minimum(draw[0::2], draw[1::2]).astype(np.int64)
@@ -358,19 +354,12 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
         u, v = int(pu[i]), int(pv[i])
         return g.has_edge(u, v) and cover[u] == 2 and cover[v] == 2
 
-    def stalled(message: str) -> GeneratorStalled:
-        return GeneratorStalled(message, iterations, int(np.count_nonzero(cover == 0)))
-
     invalid = [i for i in range(s) if not pair_valid(i)]
-    heapq.heapify(invalid)
     iterations = 0
-    while invalid:
-        i = heapq.heappop(invalid)
+    for i in invalid:
         if pair_valid(i):
             continue  # the conflicting pair was repaired away
         iterations += 1
-        if iterations > max_iter:
-            raise stalled(f"exceeded {max_iter} repair iterations")
         shift(i, -1)
         picked = None
         if g.edge_count:
@@ -385,7 +374,11 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
                 if hits.size:
                     picked = int(hits[rng.integers(hits.size)])
         if picked is None:
-            raise stalled("no edge induced by the distance->=k vertex set")
+            raise GeneratorStalled(
+                "no edge induced by the distance->=k vertex set",
+                iterations,
+                int(np.count_nonzero(cover == 0)),
+            )
         pu[i] = int(g.eu[picked])
         pv[i] = int(g.ev[picked])
         shift(i, 1)

@@ -244,6 +244,8 @@ def exact_prob_k_matching(
 def enumerate_matchings(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All size-m matchings of K_n as sorted edge tuples."""
     _check_n(n)
+    if m < 0:
+        raise ValueError(f"matching size m must be >= 0, got {m}")
     out = []
     for combo in combinations(pair_slots(n), m):
         if len({x for e in combo for x in e}) == 2 * m:

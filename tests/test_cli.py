@@ -92,6 +92,15 @@ class TestOracle:
         )
         assert code == 1
 
+    def test_xm_negative_m_is_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "oracle", "--n", "3", "--p", "0.5", "--k", "2", "--event", "xm", "--m", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "m must be >= 0, got -1" in err
+
     @pytest.mark.parametrize(
         "p, event",
         [
@@ -140,6 +149,16 @@ class TestMatchingCommands:
         code, _, err = run(capsys, "bounds", "--n", "0", "--d", "5", "--k", "2")
         assert code == 1
         assert "n must be >= 1" in err
+
+    def test_generator_has_no_repair_budget(self, capsys):
+        code, out, err = run(
+            capsys,
+            "generator", "--n", "200", "--d", "6", "--k", "2", "--seed", "1",
+            "--max-repairs", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --max-repairs 3" in err
 
     def test_generator_success(self, capsys):
         code, out, _ = run(
@@ -202,6 +221,24 @@ class TestMatchingCommands:
         assert code == 0
         g = km.read_edge_list(str(path))
         assert g == km.sample_gnp(km.GnpParams(50, 0.1, 3))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--d", "5", "--seed", "1"], "the following arguments are required: --n"),
+            (["--n", "50", "--seed", "1"], "one of the arguments --d --p is required"),
+            (["--n", "50", "--d", "5"], "the following arguments are required: --seed"),
+            (
+                ["--input", "g.edges", "--n", "50", "--d", "5", "--seed", "1"],
+                "unrecognized arguments: --input g.edges",
+            ),
+        ],
+    )
+    def test_gen_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     def test_matching_file_output(self, capsys, tmp_path):
         path = tmp_path / "m.txt"

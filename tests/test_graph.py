@@ -56,6 +56,15 @@ class TestSampling:
         assert g.n == 1000
         assert g.edge_count == 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [5e-324, 1e-320, 1e-308])
+    def test_near_subnormal_p_gives_empty_graph(self, p):
+        # log1p(-p) is as tiny as p, so the gap quotients overflow float64
+        # unless the numerators are clamped before the division
+        g = km.sample_gnp(GnpParams(5, p, 0))
+        assert g.n == 5
+        assert g.edge_count == 0
+
     def test_n_zero_and_one(self):
         assert km.sample_gnp(GnpParams(0, 0.7, 1)).edge_count == 0
         assert km.sample_gnp(GnpParams(1, 0.7, 1)).edge_count == 0
@@ -423,7 +432,7 @@ def test_distances_match_networkx(seed):
 
 def reference_read_edge_list(source):
     """The line-by-line edge-list reader: one readline, split and int() per
-    line."""
+    line, and nothing but whitespace after the m-th edge line."""
     header = source.readline().split()
     if len(header) != 2:
         raise ValueError("edge list header must be 'n m'")
@@ -449,7 +458,7 @@ def reference_read_edge_list(source):
         prev = (u, v)
         eu[i] = u
         ev[i] = v
-    if source.readline().strip():
+    if source.read().strip():
         raise ValueError("trailing content after declared edge count")
     return km.from_edges(n, zip(eu.tolist(), ev.tolist()))
 
@@ -521,6 +530,7 @@ class TestEdgeListIO:
             "3 1\n1 0\n",  # not normalized
             "3\n",  # bad header
             "3 1\n0 1\n0 2\n",  # trailing edge
+            "3 1\n0 1\n\n0 2\n",  # trailing edge after a blank line
         ],
     )
     def test_reader_rejects(self, bad):
