@@ -23,10 +23,7 @@ from .graph import (
     complete_graph,
     cycle_graph,
     edge_distance,
-    far_vertex_set,
     from_edges,
-    induced_edge_exists,
-    neighborhood_layers,
     path_graph,
     read_edge_list,
     sample_gnp,
@@ -83,15 +80,12 @@ __all__ = [
     "edge_distance",
     "emit",
     "exact_um_k",
-    "far_vertex_set",
     "from_edges",
     "gamma_independence_check",
     "generator_algorithm",
     "greedy_k_matching",
-    "induced_edge_exists",
     "is_k_matching",
     "is_maximal_k_matching",
-    "neighborhood_layers",
     "path_graph",
     "read_edge_list",
     "run_trials",

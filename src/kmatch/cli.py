@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -32,6 +33,8 @@ class _Parser(argparse.ArgumentParser):
 def _count(text: str) -> int:
     """Integer flag that accepts scientific notation ('1e6')."""
     value = float(text)
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     out = int(round(value))
     if abs(value - out) > 1e-6 * max(1.0, abs(value)):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
@@ -63,7 +66,10 @@ def _add_scale(p: argparse.ArgumentParser, with_k: bool = True) -> None:
 
 
 def _resolve_graph(args: argparse.Namespace):
-    if args.input:
+    # gen, greedy, generator and exact hand --seed to numpy unmasked
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    if getattr(args, "input", None):
         return read_edge_list(args.input)
     if args.n is None:
         raise ValueError("one of --input or --n is required")
@@ -90,7 +96,7 @@ def _params_from_args(args: argparse.Namespace) -> analytic.AsymptoticParams:
 
 
 def _cmd_gen(args) -> int:
-    g = sample_gnp(GnpParams(args.n, _resolve_p(args), args.seed))
+    g = _resolve_graph(args)
     if args.out:
         write_edge_list(g, args.out)
     else:

@@ -34,10 +34,7 @@ __all__ = [
     "cycle_graph",
     "distance_to_set",
     "edge",
-    "far_vertex_set",
     "from_edges",
-    "induced_edge_exists",
-    "neighborhood_layers",
     "path_graph",
     "read_edge_list",
     "sample_gnp",
@@ -411,48 +408,9 @@ def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
     return _bfs(g, src, cap)
 
 
-def neighborhood_layers(
-    g: Graph, sources: Iterable[int], k: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Partition vertices by exact distance to the source set.
-
-    Returns (layers, far) where layers[i] holds the vertices at distance
-    exactly i for 0 <= i <= k-1 and far holds those at distance >= k.  The
-    k+1 returned sets are pairwise disjoint and cover all vertices.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    dist = distance_to_set(g, sources, k)
-    layers = [np.flatnonzero(dist == i) for i in range(k)]
-    far = np.flatnonzero(dist == k)
-    return layers, far
-
-
-def far_vertex_set(g: Graph, sources: Iterable[int], k: int) -> np.ndarray:
-    """Vertices at distance >= k from every source (all of them if the
-    source set is empty)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return np.flatnonzero(distance_to_set(g, sources, k) == k)
-
-
-def induced_edge_exists(
-    g: Graph, vertices: Iterable[int]
-) -> Optional[tuple[int, int]]:
-    """Lexicographically least edge of g with both endpoints in the given
-    vertex set, or None."""
-    mask = np.zeros(g.n, dtype=bool)
-    vs = np.asarray(
-        list(vertices) if not isinstance(vertices, np.ndarray) else vertices,
-        dtype=np.int64,
-    )
-    if vs.size == 0 or g.edge_count == 0:
-        return None
-    mask[vs] = True
-    return _induced_edge_from_mask(g, mask)
-
-
 def _induced_edge_from_mask(g: Graph, mask: np.ndarray) -> Optional[tuple[int, int]]:
+    """Lexicographically least edge of g with both endpoints in the boolean
+    vertex mask, or None."""
     if g.edge_count == 0:
         return None
     hits = mask[g.eu] & mask[g.ev]

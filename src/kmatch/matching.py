@@ -50,7 +50,6 @@ __all__ = [
     "greedy_k_matching",
     "is_k_matching",
     "is_maximal_k_matching",
-    "matched_vertices",
 ]
 
 
@@ -124,10 +123,6 @@ class KMatching:
             if line.strip():
                 raise ValueError(f"content after the declared edge count at line {i}")
         return cls.of(k, pairs)
-
-
-def matched_vertices(m: KMatching) -> list[int]:
-    return sorted({v for e in m.edges for v in e})
 
 
 def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:

@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .analytic import PairProfile
-from .graph import Graph, from_edges
-# Unused here: bench/run.py traces kmatch.oracle.exact_um_k by name.
+# Unused here: bench/run.py traces kmatch.oracle.exact_um_k and from_edges by name.
+from .graph import from_edges  # noqa: F401
 from .matching import exact_um_k  # noqa: F401
 
 __all__ = [
@@ -82,35 +82,6 @@ class MaskGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def edges(self) -> list[tuple[int, int]]:
-        slots = pair_slots(self.n)
-        return [slots[i] for i in range(len(slots)) if self.mask >> i & 1]
-
-    def distance_at_least(self, sources: int, targets: int, k: int) -> bool:
-        """True iff every source/target vertex pair (given as bitmasks) is
-        at distance >= k."""
-        if sources & targets:
-            return k <= 0
-        seen = sources
-        frontier = sources
-        for _ in range(k - 1):
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                nxt |= self.adj[low.bit_length() - 1]
-            nxt &= ~seen
-            if nxt & targets:
-                return False
-            seen |= nxt
-            frontier = nxt
-            if not frontier:
-                break
-        return True
-
-    def to_graph(self) -> Graph:
-        return from_edges(self.n, self.edges())
-
 
 @lru_cache(maxsize=None)
 def _mask_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +101,7 @@ def _mask_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ball(adj: np.ndarray, vertices: Iterable[int], radius: int) -> np.ndarray:
     """Bitmask of the vertices within ``radius`` (no ball grows past n - 1) of
-    ``vertices`` in every mask: MaskGraph.distance_at_least's bit BFS, vectorized."""
+    ``vertices`` in every mask, by bit BFS over all masks at once."""
     ball = np.full(adj.shape[1], sum(1 << x for x in vertices), dtype=np.uint8)
     for _ in range(min(radius, len(adj) - 1)):
         grown = ball.copy()

@@ -364,6 +364,51 @@ class TestUsage:
         assert code == 0
         assert json.loads(out)["p_d"] == pytest.approx(0.01)
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["gen", "--n", "1e400", "--d", "2", "--seed", "1"], "--n", "1e400"),
+            (["gen", "--n", "inf", "--d", "2", "--seed", "1"], "--n", "inf"),
+            (
+                [
+                    "experiment", "--n", "100", "--d", "2", "--k", "2",
+                    "--trials", "1e400", "--seed", "1", "--algorithm", "greedy",
+                ],
+                "--trials",
+                "1e400",
+            ),
+        ],
+    )
+    def test_infinite_count_is_usage_error(self, capsys, argv, flag, value):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: '{value}' is not an integer" in err
+
+    @pytest.mark.parametrize("command", ["gen", "greedy", "generator", "exact"])
+    def test_negative_seed_names_the_flag(self, capsys, command):
+        argv = [command, "--n", "1e3", "--d", "2", "--seed", "-1"]
+        if command != "gen":
+            argv += ["--k", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "kmatch: error: --seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--n", "100", "--d", "2", "--k", "2", "--trials", "1",
+             "--algorithm", "greedy"],
+            ["theorem51", "--n", "2000", "--d", "10", "--k", "2", "--samples", "1"],
+            ["layers", "--n", "3000", "--d", "5", "--k", "3", "--samples", "1"],
+        ],
+    )
+    def test_masked_trial_seeds_accept_negative_seed(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--seed", "-1")
+        assert code == 0
+        assert out
+
     def test_help_mentions_flag_semantics(self, capsys):
         code, out, _ = run(capsys, "greedy", "--help")
         assert code == 0

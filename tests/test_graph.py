@@ -14,6 +14,7 @@ from kmatch.graph import (
     UNREACHABLE,
     GnpParams,
     _ball,
+    _induced_edge_from_mask,
     _ints,
     bounded_ball,
     distance_to_set,
@@ -290,35 +291,25 @@ class TestEdgeDistance:
 
 
 class TestLayers:
+    """Distance layers i < k and the far set (value k) as ``distance_to_set``
+    gives them."""
+
     def test_all_vertices_as_sources(self):
-        g = km.path_graph(5)
-        layers, far = km.neighborhood_layers(g, range(5), 3)
-        assert layers[0].tolist() == [0, 1, 2, 3, 4]
-        assert all(l.size == 0 for l in layers[1:])
-        assert far.size == 0
+        assert distance_to_set(km.path_graph(5), range(5), 3).tolist() == [0] * 5
 
     def test_path_example(self):
-        g = km.path_graph(5)
-        layers, far = km.neighborhood_layers(g, [0], 3)
-        assert [l.tolist() for l in layers] == [[0], [1], [2]]
-        assert far.tolist() == [3, 4]
+        assert distance_to_set(km.path_graph(5), [0], 3).tolist() == [0, 1, 2, 3, 3]
 
     def test_edgeless(self):
         g = km.from_edges(4, [])
-        layers, far = km.neighborhood_layers(g, [0], 2)
-        assert layers[0].tolist() == [0]
-        assert layers[1].size == 0
-        assert far.tolist() == [1, 2, 3]
+        assert distance_to_set(g, [0], 2).tolist() == [0, 2, 2, 2]
 
     def test_empty_sources(self):
-        g = km.path_graph(4)
-        layers, far = km.neighborhood_layers(g, [], 2)
-        assert all(l.size == 0 for l in layers)
-        assert far.tolist() == [0, 1, 2, 3]
+        assert distance_to_set(km.path_graph(4), [], 2).tolist() == [2] * 4
 
-    def test_k_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            km.neighborhood_layers(km.path_graph(3), [0], 1)
+    def test_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            distance_to_set(km.path_graph(3), [0], 0)
 
     @given(st.integers(0, 10**6), st.integers(2, 4))
     @settings(max_examples=60, deadline=None)
@@ -326,47 +317,48 @@ class TestLayers:
         g = km.sample_gnp(GnpParams(14, 0.25, seed))
         rng = np.random.default_rng(seed)
         sources = rng.choice(14, size=int(rng.integers(1, 5)), replace=False)
-        layers, far = km.neighborhood_layers(g, sources, k)
-        pieces = [l.tolist() for l in layers] + [far.tolist()]
-        flat = [v for piece in pieces for v in piece]
-        assert sorted(flat) == list(range(14))  # disjoint cover
+        dist = distance_to_set(g, sources, k)
         nxg = nx_graph(g)
-        for i, layer in enumerate(layers):
-            for v in layer.tolist():
-                d = nx_set_distance(nxg, sources, v)
-                assert d == i
-        for v in far.tolist():
+        for v in range(14):
             d = nx_set_distance(nxg, sources, v)
-            assert d >= k
+            assert dist[v] == min(d, k)
 
 
 class TestFarSet:
     def test_empty_sources_gives_all(self):
-        g = km.path_graph(4)
-        assert km.far_vertex_set(g, [], 2).tolist() == [0, 1, 2, 3]
+        far = distance_to_set(km.path_graph(4), [], 2) == 2
+        assert np.flatnonzero(far).tolist() == [0, 1, 2, 3]
 
     def test_path_example(self):
-        g = km.path_graph(5)
-        assert km.far_vertex_set(g, [0, 1], 2).tolist() == [3, 4]
+        far = distance_to_set(km.path_graph(5), [0, 1], 2) == 2
+        assert np.flatnonzero(far).tolist() == [3, 4]
 
     def test_complete_graph_empty(self):
-        g = km.complete_graph(5)
-        assert km.far_vertex_set(g, [2], 2).size == 0
+        assert not (distance_to_set(km.complete_graph(5), [2], 2) == 2).any()
 
 
 class TestInducedEdge:
+    """``_induced_edge_from_mask`` on the mask of a vertex list."""
+
     def test_empty_set(self):
-        assert km.induced_edge_exists(km.complete_graph(4), []) is None
+        g = km.complete_graph(4)
+        assert _induced_edge_from_mask(g, np.zeros(4, dtype=bool)) is None
+
+    def test_edgeless_graph(self):
+        g = km.from_edges(4, [])
+        assert _induced_edge_from_mask(g, np.ones(4, dtype=bool)) is None
 
     def test_k4_pair(self):
-        assert km.induced_edge_exists(km.complete_graph(4), [0, 1]) == (0, 1)
+        g = km.complete_graph(4)
+        assert _induced_edge_from_mask(g, np.isin(range(4), [0, 1])) == (0, 1)
 
     def test_non_adjacent_pair(self):
-        assert km.induced_edge_exists(km.path_graph(3), [0, 2]) is None
+        g = km.path_graph(3)
+        assert _induced_edge_from_mask(g, np.isin(range(3), [0, 2])) is None
 
     def test_lexicographically_least(self):
         g = km.from_edges(5, [(0, 3), (1, 2), (1, 4), (2, 4)])
-        assert km.induced_edge_exists(g, [1, 2, 4]) == (1, 2)
+        assert _induced_edge_from_mask(g, np.isin(range(5), [1, 2, 4])) == (1, 2)
 
 
 def test_bounded_ball_radius_zero_and_growth():

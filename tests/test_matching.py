@@ -25,7 +25,6 @@ from kmatch.matching import (
     KMatching,
     _matched_distance,
     default_pair_count,
-    matched_vertices,
 )
 
 from bfs_reference import python_ball
@@ -214,7 +213,7 @@ def networkx_is_maximal(g, m):
     nxg = nx.Graph(list(g.edges()))
     nxg.add_nodes_from(range(g.n))
     near = set()
-    for w in matched_vertices(m):
+    for w in {v for e in m.edges for v in e}:
         near.update(nx.single_source_shortest_path_length(nxg, w, cutoff=m.k - 1))
     return all(u in near or v in near for u, v in g.edges())
 

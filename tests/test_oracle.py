@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 import kmatch.analytic as an
 import kmatch.oracle as orc
 from kmatch.analytic import AsymptoticParams, PairProfile
-from kmatch.matching import exact_um_k
+
+import mask_reference as ref
+from mask_reference import distance_at_least
 
 P_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
 
 # ---------------------------------------------------------------------------
-# Per-mask references for the vectorized oracle: one Python predicate or one
-# exact-solver call on a Graph per mask.
+# References for the vectorized oracle: a Python predicate per mask, and the
+# one bitmask pass over all masks in mask_reference.
 # ---------------------------------------------------------------------------
 
 
@@ -31,42 +33,11 @@ def reference_prob_k_matching(n, p, k, matching, *, exact=False):
                 return False
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                if not g.distance_at_least(pair_bits[i], pair_bits[j], k):
+                if not distance_at_least(g.adj, pair_bits[i], pair_bits[j], k):
                     return False
         return True
 
     return orc.exact_event_probability(n, p, pred, exact=exact)
-
-
-def reference_expected_Xm(n, p, k, m, *, exact=False):
-    """E[X_m] as the sum over every size-m matching of K_n."""
-    if m == 0:
-        return Fraction(1) if exact else 1.0
-    terms = [
-        reference_prob_k_matching(n, p, k, mm, exact=exact)
-        for mm in orc.enumerate_matchings(n, m)
-    ]
-    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
-
-
-def reference_umk_distribution(n, p, k, *, exact=False):
-    """The k-matching number's distribution by running the exact solver on
-    a Graph built from every mask."""
-    slots = len(orc.pair_slots(n))
-    if exact:
-        pf = Fraction(p)
-        weights = [pf**j * (1 - pf) ** (slots - j) for j in range(slots + 1)]
-        dist = {}
-        for mask in range(1 << slots):
-            size, _ = exact_um_k(orc.MaskGraph(n, mask).to_graph(), k)
-            dist[size] = dist.get(size, Fraction(0)) + weights[mask.bit_count()]
-        return dict(sorted(dist.items()))
-    pw = [float(p) ** j * (1.0 - float(p)) ** (slots - j) for j in range(slots + 1)]
-    buckets = {}
-    for mask in range(1 << slots):
-        size, _ = exact_um_k(orc.MaskGraph(n, mask).to_graph(), k)
-        buckets.setdefault(size, []).append(pw[mask.bit_count()])
-    return {size: math.fsum(terms) for size, terms in sorted(buckets.items())}
 
 
 def probabilities():
@@ -208,8 +179,8 @@ class TestExpectedXm:
             total = 0
             for mm in matchings:
                 if all(g.has_edge(u, v) for u, v in mm) and all(
-                    g.distance_at_least(
-                        (1 << a[0]) | (1 << a[1]), (1 << b[0]) | (1 << b[1]), k
+                    distance_at_least(
+                        g.adj, (1 << a[0]) | (1 << a[1]), (1 << b[0]) | (1 << b[1]), k
                     )
                     for a, b in combinations(mm, 2)
                 ):
@@ -323,22 +294,21 @@ class TestAgainstReference:
         for k in range(1, 5):
             assert orc.exact_umk_distribution(
                 n, p, k, exact=True
-            ) == reference_umk_distribution(n, p, k, exact=True), (n, k)
+            ) == ref.umk_distribution(n, p, k, exact=True), (n, k)
             for m in range(0, 4):
                 assert orc.exact_expected_Xm(n, p, k, m, exact=True) == (
-                    reference_expected_Xm(n, p, k, m, exact=True)
+                    ref.expected_Xm(n, p, k, m, exact=True)
                 ), (n, k, m)
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("k", (2, 3))
     def test_n6_matches_reference(self, k):
         p = Fraction(1, 2)
         assert orc.exact_umk_distribution(
             6, p, k, exact=True
-        ) == reference_umk_distribution(6, p, k, exact=True)
+        ) == ref.umk_distribution(6, p, k, exact=True)
         for m in range(1, 4):
             assert orc.exact_expected_Xm(6, p, k, m, exact=True) == (
-                reference_expected_Xm(6, p, k, m, exact=True)
+                ref.expected_Xm(6, p, k, m, exact=True)
             ), m
 
     def test_bench_value(self):
@@ -369,24 +339,24 @@ class TestAgainstReference:
         for n in range(2, 6):
             for k in (2, 3):
                 got = orc.exact_umk_distribution(n, 0.3, k)
-                want = reference_umk_distribution(n, 0.3, k)
+                want = ref.umk_distribution(n, 0.3, k)
                 assert got.keys() == want.keys()
                 for size in got:
                     assert abs(got[size] - want[size]) <= 1e-15
                 value = orc.exact_expected_Xm(n, 0.3, k, 2)
-                assert abs(value - reference_expected_Xm(n, 0.3, k, 2)) <= 1e-15
+                assert abs(value - ref.expected_Xm(n, 0.3, k, 2)) <= 1e-15
 
     @given(st.integers(0, 5), st.integers(1, 4), probabilities())
     @settings(max_examples=25, deadline=None)
     def test_umk_hypothesis(self, n, k, p):
         assert orc.exact_umk_distribution(
             n, p, k, exact=True
-        ) == reference_umk_distribution(n, p, k, exact=True)
+        ) == ref.umk_distribution(n, p, k, exact=True)
 
     @given(st.integers(0, 5), st.integers(1, 4), st.integers(0, 3), probabilities())
     @settings(max_examples=40, deadline=None)
     def test_expected_Xm_hypothesis(self, n, k, m, p):
-        assert orc.exact_expected_Xm(n, p, k, m, exact=True) == reference_expected_Xm(
+        assert orc.exact_expected_Xm(n, p, k, m, exact=True) == ref.expected_Xm(
             n, p, k, m, exact=True
         )
 
@@ -397,7 +367,7 @@ class TestAgainstReference:
         v = data.draw(st.integers(0, n - 1))
         got = orc.exact_prob_distance_ge_k(n, p, k, u, v, exact=True)
         want = orc.exact_event_probability(
-            n, p, lambda g: g.distance_at_least(1 << u, 1 << v, k), exact=True
+            n, p, lambda g: distance_at_least(g.adj, 1 << u, 1 << v, k), exact=True
         )
         assert got == want
         order = data.draw(st.permutations(range(n)))
