@@ -32,8 +32,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _count(text: str) -> int:
     """Integer flag that accepts scientific notation ('1e6')."""
-    value = float(text)
-    if math.isinf(value):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     out = int(round(value))
     if abs(value - out) > 1e-6 * max(1.0, abs(value)):

@@ -2,9 +2,13 @@
 bounded-radius distance primitives.
 
 Vertices are the integers 0..n-1.  An edge is a normalized ``(u, v)`` tuple
-with ``u < v``.  Adjacency is stored in CSR form (``indptr``/``indices``)
-over numpy arrays so that multi-source BFS and whole-edge-set scans stay
-vectorized at n ~ 10^6.
+with ``u < v``, and edge ids number the edges in ascending lexicographic
+order.  Adjacency is stored as two sorted CSR halves over numpy arrays: the
+upper half lists each vertex's larger neighbours (``ev`` under
+``upper_ptr``, whose positions are the edge ids), the lower half its
+smaller ones (``lower`` under ``lower_ptr``).  Multi-source BFS gathers
+from both halves, and the edges induced by a vertex set are read from the
+set's own upper rows, so neither needs a whole-edge-set scan at n ~ 10^6.
 
 The G(n,p) sampler walks the lexicographic order of the C(n,2) vertex pairs
 with geometric jumps, which is distributionally identical to drawing each
@@ -74,33 +78,39 @@ class GnpParams:
 class Graph:
     """Simple undirected graph, frozen after construction.
 
-    ``indptr``/``indices`` hold the symmetric adjacency (sorted neighbor ids
-    per vertex); ``eu``/``ev`` list the m normalized edges in ascending
-    lexicographic order.  Instances are safe to share across threads.
+    ``eu``/``ev`` list the m normalized edges in ascending lexicographic
+    order.  The adjacency is kept as the two halves the sampler builds, each
+    sorted within a vertex: vertex u's larger neighbours are
+    ``ev[upper_ptr[u]:upper_ptr[u+1]]``, whose positions are their edge ids,
+    and its smaller neighbours are ``lower[lower_ptr[u]:lower_ptr[u+1]]``.
+    Instances are safe to share across threads.
     """
 
     n: int
-    indptr: np.ndarray  # int64, length n+1
-    indices: np.ndarray  # int32, length 2m, sorted within each vertex
+    upper_ptr: np.ndarray  # int64, length n+1; cumsum of bincount(eu)
+    lower_ptr: np.ndarray  # int64, length n+1
+    lower: np.ndarray  # int32, length m, sorted within each vertex
     eu: np.ndarray  # int32, length m
-    ev: np.ndarray  # int32, length m
+    ev: np.ndarray  # int32, length m, sorted within each vertex's upper row
 
     @property
     def edge_count(self) -> int:
         return int(self.eu.shape[0])
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v (read-only view)."""
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+        """Sorted neighbor ids of v: its lower run, then its upper run."""
+        lo, up = self.lower_ptr, self.upper_ptr
+        return np.concatenate([self.lower[lo[v] : lo[v + 1]], self.ev[up[v] : up[v + 1]]])
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False
-        nbrs = self.neighbors(u)
-        i = int(np.searchsorted(nbrs, v))
-        return i < nbrs.shape[0] and int(nbrs[i]) == v
+        u, v = min(u, v), max(u, v)
+        row = self.ev[self.upper_ptr[u] : self.upper_ptr[u + 1]]
+        i = int(np.searchsorted(row, v))
+        return i < row.shape[0] and int(row[i]) == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) tuples in ascending lexicographic order."""
@@ -133,12 +143,11 @@ def _from_upper_rows(n: int, counts: np.ndarray, ev: np.ndarray) -> Graph:
     ``counts[u]``, the number of edges (u, *), and their larger endpoints
     ``ev`` (int32).
 
-    These are already the CSR rows of the upper triangle: each vertex's
-    larger neighbours, ascending.  scipy's compiled CSR->CSC counting sort
-    transposes them over m entries; it is stable, so each transposed row
-    lists the vertex's smaller neighbours ascending.  Every adjacency row
-    is that run followed by the upper one, so the build is O(n + m) and
-    sorts nothing.
+    These are already the CSR rows of the upper half: each vertex's larger
+    neighbours, ascending, at their edge ids.  scipy's compiled CSR->CSC
+    counting sort transposes them over m entries into the lower half; it is
+    stable, so each transposed row lists the vertex's smaller neighbours
+    ascending.  The build is O(n + m) and sorts nothing.
     """
     m = ev.shape[0]
     upper_ptr = np.zeros(n + 1, dtype=np.int64)
@@ -147,18 +156,10 @@ def _from_upper_rows(n: int, counts: np.ndarray, ev: np.ndarray) -> Graph:
         (np.ones(m, dtype=np.int8), ev, upper_ptr), shape=(n, n)
     ).tocsc()
     lower_ptr = lower.indptr.astype(np.int64)
-    # True at each row's smaller-neighbour slots, False at its larger ones
-    is_lower = np.repeat(
-        np.tile(np.array([True, False]), n),
-        np.stack([np.diff(lower_ptr), counts], axis=1).ravel(),
-    )
-    indices = np.empty(2 * m, dtype=np.int32)
-    indices[is_lower] = lower.indices
+    lower_idx = lower.indices.astype(np.int32, copy=False)
     del lower
-    indices[~is_lower] = ev
     eu = np.repeat(np.arange(n, dtype=np.int32), counts)
-    indptr = upper_ptr + lower_ptr
-    return Graph(n, _freeze(indptr), _freeze(indices), _freeze(eu), _freeze(ev))
+    return Graph(n, *map(_freeze, (upper_ptr, lower_ptr, lower_idx, eu, ev)))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -330,36 +331,52 @@ def bounded_ball(g: Graph, seeds: Sequence[int], radius: int) -> list[int]:
     return np.unique(_ball(g, seeds, radius)).tolist()
 
 
-def _gather_neighbors(g: Graph, verts: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of ``verts`` (with multiplicity)."""
-    starts = g.indptr[verts]
-    counts = g.indptr[verts + 1] - starts
-    tot = int(counts.sum())
-    if tot == 0:
-        return np.empty(0, dtype=g.indices.dtype)
-    shifts = np.cumsum(counts) - counts
-    idx = np.arange(tot, dtype=np.int64) - np.repeat(shifts, counts) + np.repeat(
-        starts, counts
+def _runs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``starts[i]:stops[i]`` of every run i, concatenated in
+    order, and each run's length."""
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    pos = np.repeat(starts - ends + counts, counts)
+    pos += np.arange(pos.size, dtype=np.int64)
+    return pos, counts
+
+
+def _gather_neighbors(
+    g: Graph, verts: np.ndarray, *values: np.ndarray
+) -> list[np.ndarray]:
+    """The neighbours of ``verts`` with multiplicity (every vertex's lower
+    run, then every vertex's upper run), followed by each per-vertex array
+    of ``values`` repeated to align with them."""
+    nxt = verts + 1
+    pos, counts = _runs(
+        np.concatenate([g.lower_ptr[verts], g.upper_ptr[verts]]),
+        np.concatenate([g.lower_ptr[nxt], g.upper_ptr[nxt]]),
     )
-    return g.indices[idx]
+    split = int(counts[: verts.size].sum())
+    nbrs = np.empty(pos.size, dtype=np.int32)
+    np.take(g.lower, pos[:split], out=nbrs[:split])
+    np.take(g.ev, pos[split:], out=nbrs[split:])
+    return [nbrs] + [np.repeat(np.concatenate([a, a]), counts) for a in values]
 
 
 def _ball(g: Graph, seeds: Sequence[int], radius: int) -> np.ndarray:
     """The vertices within distance <= radius of the seeds, seeds included,
     as an index array that may repeat a vertex.
 
-    The first level is the seeds' CSR slices; each further level gathers
-    the neighbours of the previous level's distinct vertices.  The last
-    level is not deduplicated: the ball is meant for index assignment
+    The first level is the seeds' two adjacency runs; each further level
+    gathers the neighbours of the previous level's distinct vertices.  The
+    last level is not deduplicated: the ball is meant for index assignment
     (``mask[ball] = True``, ``count[ball] += 1``), where a repeated index
     acts once.
     """
     levels = [seeds]
     if radius >= 1:
-        levels += [g.indices[g.indptr[s] : g.indptr[s + 1]] for s in seeds]
+        for s in seeds:
+            levels.append(g.lower[g.lower_ptr[s] : g.lower_ptr[s + 1]])
+            levels.append(g.ev[g.upper_ptr[s] : g.upper_ptr[s + 1]])
     frontier = levels[1:]
     for _ in range(radius - 1):
-        frontier = [_gather_neighbors(g, np.unique(np.concatenate(frontier)))]
+        frontier = _gather_neighbors(g, np.unique(np.concatenate(frontier)))
         levels += frontier
     return np.concatenate(levels)
 
@@ -379,12 +396,14 @@ def _bfs(
     dist[src] = 0
     frontier = src
     for level in range(1, cap):
-        nbrs = _gather_neighbors(g, frontier)
-        fresh = dist[nbrs] == cap
         last = level == cap - 1
         if owner is not None and not last:
-            degs = g.indptr[frontier + 1] - g.indptr[frontier]
-            owner[nbrs[fresh]] = np.repeat(owner[frontier], degs)[fresh]
+            nbrs, labels = _gather_neighbors(g, frontier, owner[frontier])
+            fresh = dist[nbrs] == cap
+            owner[nbrs[fresh]] = labels[fresh]
+        else:
+            (nbrs,) = _gather_neighbors(g, frontier)
+            fresh = dist[nbrs] == cap
         nbrs = nbrs[fresh]
         dist[nbrs] = level
         if nbrs.size == 0 or last:
@@ -408,16 +427,38 @@ def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
     return _bfs(g, src, cap)
 
 
+def _induced_edges(
+    g: Graph, mask: np.ndarray, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Ascending ids of the edges with both endpoints in the boolean vertex
+    mask, read from the upper runs of the masked vertices ``rows``
+    (ascending; all of them by default): O(n + their larger-neighbour
+    counts), not O(m)."""
+    if rows is None:
+        rows = np.flatnonzero(mask)
+    ids = _runs(g.upper_ptr[rows], g.upper_ptr[rows + 1])[0]
+    # np.compress: boolean indexing took twice as long on dense masks
+    return np.compress(mask[g.ev[ids]], ids)
+
+
 def _induced_edge_from_mask(g: Graph, mask: np.ndarray) -> Optional[tuple[int, int]]:
     """Lexicographically least edge of g with both endpoints in the boolean
-    vertex mask, or None."""
-    if g.edge_count == 0:
-        return None
-    hits = mask[g.eu] & mask[g.ev]
-    i = int(np.argmax(hits))
-    if not hits[i]:
-        return None
-    return (int(g.eu[i]), int(g.ev[i]))
+    vertex mask, or None.
+
+    The masked vertices are read in ascending blocks of 1, 2, 4, ...
+    vertices, so a hit among the first masked vertices ends the search
+    after work proportional to those vertices' runs.
+    """
+    rows = np.flatnonzero(mask)
+    start, size = 0, 1
+    while start < rows.size:
+        hits = _induced_edges(g, mask, rows[start : start + size])
+        if hits.size:
+            i = int(hits[0])
+            return (int(g.eu[i]), int(g.ev[i]))
+        start += size
+        size *= 2
+    return None
 
 
 # ---------------------------------------------------------------------------

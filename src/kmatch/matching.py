@@ -35,6 +35,7 @@ from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     _bfs,
     _gather_neighbors,
     _induced_edge_from_mask,
+    _induced_edges,
     _ints,
 )
 
@@ -160,14 +161,12 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     partner = np.full(g.n, -1, dtype=np.int64)
     partner[mu], partner[mv] = mv, mu
     near = np.flatnonzero(dist <= max(k - 2, 0) // 2)
-    degs = g.indptr[near + 1] - g.indptr[near]
-    x = np.repeat(near, degs)
-    y = _gather_neighbors(g, near)
+    y, x = _gather_neighbors(g, near, near)
     # at most one hit per distinct matched vertex: fewer than 2|m| hits
     # mean a member is not an edge or two members share an endpoint
     if not np.all(mu < mv) or np.count_nonzero(y == partner[x]) < src.size:
         return dist, False
-    close = np.repeat(dist[near], degs) + dist[y] <= k - 2
+    close = dist[x] + dist[y] <= k - 2
     return dist, not np.any(owner[x[close]] != owner[y[close]])
 
 
@@ -258,7 +257,7 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
 
     while 2 * scan(rng.integers(m, size=chunk)) > chunk:
         pass
-    rest = np.flatnonzero(~(blocked[g.eu] | blocked[g.ev]))
+    rest = _induced_edges(g, ~blocked)
     rng.shuffle(rest)
     while rest.size:
         scan(rest[:chunk])
@@ -364,8 +363,7 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
                     picked = j
                     break
             if picked is None:
-                far = cover == 0
-                hits = np.flatnonzero(far[g.eu] & far[g.ev])
+                hits = _induced_edges(g, cover == 0)
                 if hits.size:
                     picked = int(hits[rng.integers(hits.size)])
         if picked is None:

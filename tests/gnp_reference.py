@@ -1,7 +1,8 @@
 """The G(n,p) sampler and CSR build as they stood before the per-batch
 decode: one global int64 pair-index array, then scipy's COO->CSR build over
 the full 2m-entry symmetric COO.  The reference the library's sampler and
-``from_edges`` are tested against, byte for byte."""
+``from_edges`` are tested against, byte for byte, through ``symmetric_csr``,
+which merges a graph's two adjacency halves back into that CSR."""
 
 import math
 
@@ -29,6 +30,18 @@ def reference_csr(n, eu, ev):
     indptr = adj.indptr.astype(np.int64)
     indices = adj.indices.astype(np.int32, copy=False)
     return indptr, indices, eu, ev
+
+
+def symmetric_csr(g):
+    """(indptr, indices, eu, ev) of the graph g, its lower and upper
+    adjacency halves merged row by row: each vertex's smaller neighbours,
+    then its larger ones."""
+    runs = [np.empty(0, dtype=np.int32)]
+    for v in range(g.n):
+        runs.append(g.lower[g.lower_ptr[v] : g.lower_ptr[v + 1]])
+        runs.append(g.ev[g.upper_ptr[v] : g.upper_ptr[v + 1]])
+    indptr = (g.lower_ptr + g.upper_ptr).astype(np.int64)
+    return indptr, np.concatenate(runs).astype(np.int32), g.eu, g.ev
 
 
 def _pair_offsets(n):

@@ -385,6 +385,14 @@ class TestUsage:
         assert out == ""
         assert f"argument {flag}: '{value}' is not an integer" in err
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "abc", ""])
+    def test_non_numeric_count_is_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "gen", "--n", value, "--d", "2", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert f"argument --n: '{value}' is not an integer" in err
+        assert "_count" not in err
+
     @pytest.mark.parametrize("command", ["gen", "greedy", "generator", "exact"])
     def test_negative_seed_names_the_flag(self, capsys, command):
         argv = [command, "--n", "1e3", "--d", "2", "--seed", "-1"]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -15,6 +16,7 @@ from kmatch.graph import (
     GnpParams,
     _ball,
     _induced_edge_from_mask,
+    _induced_edges,
     _ints,
     bounded_ball,
     distance_to_set,
@@ -22,7 +24,7 @@ from kmatch.graph import (
 
 import gnp_reference
 from bfs_reference import python_ball
-from gnp_reference import reference_csr, reference_sample_gnp
+from gnp_reference import reference_csr, reference_sample_gnp, symmetric_csr
 
 
 def test_edge_normalizes_and_rejects_loops():
@@ -74,7 +76,7 @@ class TestSampling:
         a = km.sample_gnp(GnpParams(500, 0.05, 42))
         b = km.sample_gnp(GnpParams(500, 0.05, 42))
         assert a == b
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.lower, b.lower)
         c = km.sample_gnp(GnpParams(500, 0.05, 43))
         assert a != c
 
@@ -89,7 +91,7 @@ class TestSampling:
         # (n, p, seed, edge count, sha256 prefix of the dtypes and bytes of
         # indptr, indices, eu and ev) as sampled by the previous decode (one
         # offset search per pair) and CSR build (COO rows [eu, ev], then an
-        # index sort)
+        # index sort); indptr and indices are the two halves merged back
         [
             (0, 0.7, 1, 0, "4dcfbf1083ea4687"),
             (1, 0.7, 1, 0, "7c829b9eaac18ce2"),
@@ -106,8 +108,11 @@ class TestSampling:
     )
     def test_arrays_pinned(self, n, p, seed, m, digest):
         g = km.sample_gnp(GnpParams(n, p, seed))
+        upper_ptr = np.concatenate([[0], np.cumsum(np.bincount(g.eu, minlength=n))])
+        assert g.upper_ptr.dtype == np.int64
+        assert np.array_equal(g.upper_ptr, upper_ptr)
         h = hashlib.sha256()
-        for a in (g.indptr, g.indices, g.eu, g.ev):
+        for a in symmetric_csr(g):
             h.update(a.dtype.str.encode())
             h.update(np.ascontiguousarray(a).tobytes())
         assert (g.edge_count, h.hexdigest()[:16]) == (m, digest)
@@ -121,6 +126,7 @@ class TestSampling:
             assert u not in nbrs
             for v in nbrs:
                 assert u in g.neighbors(v).tolist()
+            assert [v for v in range(g.n) if g.has_edge(u, v)] == nbrs
             degs += len(nbrs)
         assert degs == 2 * g.edge_count
 
@@ -147,8 +153,8 @@ class TestSampling:
         assert bad / samples <= bound + margin
 
     def test_peak_memory_at_most_three_graphs(self):
-        # the decode holds no array of all pair indices and the CSR build
-        # no 2m-long symmetric COO; holding both costs about 3.9x the graph
+        # the decode holds no array of all pair indices and the build no
+        # 2m-long symmetric COO; holding both costs about 3.9x the graph
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -156,12 +162,9 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        nbytes = sum(a.nbytes for a in (g.indptr, g.indices, g.eu, g.ev))
+        arrays = [getattr(g, f.name) for f in dataclasses.fields(g)]
+        nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
         assert peak <= 3 * nbytes
-
-
-def graph_arrays(g):
-    return g.indptr, g.indices, g.eu, g.ev
 
 
 def assert_same_arrays(got, want):
@@ -181,7 +184,7 @@ class TestSamplerAgainstReference:
         + [(n, p, s) for n in (3, 17, 300, 2500) for p in (0.003, 0.1, 0.6, 0.97) for s in (0, 1)],
     )
     def test_sample_gnp(self, n, p, seed):
-        got = graph_arrays(km.sample_gnp(GnpParams(n, p, seed)))
+        got = symmetric_csr(km.sample_gnp(GnpParams(n, p, seed)))
         assert_same_arrays(got, reference_sample_gnp(n, p, seed))
 
     @pytest.mark.parametrize("n, p, seed", [(400, 0.05, 1), (3000, 0.004, 2), (90, 1.0, 3)])
@@ -189,7 +192,7 @@ class TestSamplerAgainstReference:
         # many CSR rows straddle two batches
         monkeypatch.setattr(km.graph, "_BATCH_CAP", 2048)
         monkeypatch.setattr(gnp_reference, "_BATCH_CAP", 2048)
-        got = graph_arrays(km.sample_gnp(GnpParams(n, p, seed)))
+        got = symmetric_csr(km.sample_gnp(GnpParams(n, p, seed)))
         assert_same_arrays(got, reference_sample_gnp(n, p, seed))
 
     @given(
@@ -201,7 +204,7 @@ class TestSamplerAgainstReference:
         edges = sorted({km.graph.edge(u, v) for u, v in pairs if u != v and max(u, v) < n})
         eu = np.array([u for u, _ in edges], dtype=np.int32)
         ev = np.array([v for _, v in edges], dtype=np.int32)
-        got = graph_arrays(km.from_edges(n, [(v, u) for u, v in reversed(edges)]))
+        got = symmetric_csr(km.from_edges(n, [(v, u) for u, v in reversed(edges)]))
         assert_same_arrays(got, reference_csr(n, eu, ev))
 
 
@@ -359,6 +362,70 @@ class TestInducedEdge:
     def test_lexicographically_least(self):
         g = km.from_edges(5, [(0, 3), (1, 2), (1, 4), (2, 4)])
         assert _induced_edge_from_mask(g, np.isin(range(5), [1, 2, 4])) == (1, 2)
+
+    def test_hit_past_the_first_blocks(self):
+        # the masked vertices are read in blocks of 1, 2, 4, ...: the only
+        # induced edge (40, 41) lies in the fifth block of 16 vertices
+        g = km.from_edges(50, [(2 * i, 2 * i + 1) for i in range(25)] + [(0, 49)])
+        mask = np.zeros(50, dtype=bool)
+        mask[0::2] = True
+        mask[41] = True
+        assert _induced_edge_from_mask(g, mask) == (40, 41)
+
+    def test_no_hit_in_any_block(self):
+        g = km.from_edges(50, [(2 * i, 2 * i + 1) for i in range(25)])
+        mask = np.zeros(50, dtype=bool)
+        mask[0::2] = True
+        assert _induced_edge_from_mask(g, mask) is None
+        assert _induced_edge_from_mask(g, ~mask) is None
+
+
+def reference_induced_edges(g, mask):
+    """Ids of the edges with both endpoints in mask, by a scan of all m
+    edges."""
+    return np.flatnonzero(mask[g.eu] & mask[g.ev])
+
+
+def reference_induced_edge(g, mask):
+    hits = reference_induced_edges(g, mask)
+    return (int(g.eu[hits[0]]), int(g.ev[hits[0]])) if hits.size else None
+
+
+class TestInducedEdgesAgainstScan:
+    """``_induced_edges`` reads the masked vertices' upper runs; it must
+    give the ascending ids an all-edge scan gives, so the draws that
+    consume them do not change."""
+
+    def check(self, g, mask):
+        got = _induced_edges(g, mask)
+        want = reference_induced_edges(g, mask)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert _induced_edge_from_mask(g, mask) == reference_induced_edge(g, mask)
+
+    @given(
+        st.integers(0, 60),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gnp(self, n, p, density, seed):
+        g = km.sample_gnp(GnpParams(n, p, seed))
+        rng = np.random.default_rng(seed)
+        self.check(g, rng.random(n) < density)
+
+    @pytest.mark.parametrize(
+        "g",
+        [km.from_edges(7, []), km.path_graph(9), km.complete_graph(8)],
+        ids=["edgeless", "path", "complete"],
+    )
+    def test_special_graphs(self, g):
+        rng = np.random.default_rng(3)
+        self.check(g, np.zeros(g.n, dtype=bool))
+        self.check(g, np.ones(g.n, dtype=bool))
+        for _ in range(30):
+            self.check(g, rng.random(g.n) < rng.random())
 
 
 def test_bounded_ball_radius_zero_and_growth():

@@ -16,7 +16,6 @@ from kmatch import matching
 from kmatch.analytic import AsymptoticParams
 from kmatch.graph import GnpParams, distance_to_set
 from kmatch.matching import (
-    _REJECTION_TRIES,
     _SCAN_CHUNK,
     GeneratorConfig,
     GeneratorStalled,
@@ -48,9 +47,11 @@ def reference_generator_algorithm(g, cfg):
     """Reference pair-and-repair loop: rebuilds the far set F with a full
     ``distance_to_set`` on every repair and checks pairs by a Python ball
     walk.  It consumes the RNG exactly as ``generator_algorithm`` must: one
-    ascending pass over the pairs invalid at the start.  After each repair
-    it asserts that the repaired pair is valid and that no valid pair has
-    turned invalid, so the pass makes at most s repairs."""
+    ascending pass over the pairs invalid at the start, with the rejection
+    budget read from ``matching._REJECTION_TRIES`` at call time, so a
+    patched budget reaches both.  After each repair it asserts that the
+    repaired pair is valid and that no valid pair has turned invalid, so
+    the pass makes at most s repairs."""
     k = cfg.k
     s = cfg.s_override
     if s is None:
@@ -87,7 +88,7 @@ def reference_generator_algorithm(g, cfg):
         far = distance_to_set(g, np.flatnonzero(selected), k) == k
         picked = None
         if g.edge_count:
-            for _ in range(_REJECTION_TRIES):
+            for _ in range(matching._REJECTION_TRIES):
                 j = int(rng.integers(g.edge_count))
                 if far[g.eu[j]] and far[g.ev[j]]:
                     picked = j
@@ -575,6 +576,21 @@ class TestGreedyLaw:
         stat = sum((counts[e] - x) ** 2 / x for e, x in expected.items())
         assert stat < stats.chi2.ppf(0.999, len(law) - 1), stat
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("c", [1.0, 3.0, 8.0])
+    def test_k1_size_law_at_scale(self, c):
+        # random greedy matching on G(n, c/n) has size/n -> c / (2(c+1))
+        # (Dyer, Frieze and Pittel, 1993); across seeds the sd is at most
+        # 0.00026 at n = 2*10^5, while a lexicographic scan is off by 0.005
+        # or more.  At k=1 most edges are still live at the switch to the
+        # shuffle, so this runs the induced-edge gather on a dense mask.
+        n = 200_000
+        limit = c / (2 * (c + 1))
+        for seed in range(5):
+            g = km.sample_gnp(GnpParams(n, c / n, 500 + seed))
+            size = km.greedy_k_matching(g, 1, seed).size
+            assert abs(size / n - limit) <= 0.003, (seed, size / n, limit)
+
 
 @st.composite
 def graph_and_members(draw):
@@ -665,30 +681,31 @@ class TestValidatorsAgainstReference:
             assert km.is_maximal_k_matching(g, smaller) == expected
 
 
+# (n, d, k, s) of the generator's differential grid.  s=None takes
+# default_pair_count at the graph's mean degree: the formula gives -10.96 at
+# (3000, 8.0, 2), so that case runs the clamp to s = 1, and 19.05 at
+# (3000, 16.0, 2), so s = 19 there (4.19, so s = 4, at (4000, 5.0, 3)); the
+# larger s need fallback scans near the end, and the largest of each k stall
+# for every seed
+GENERATOR_GRID = [
+    (3000, 8.0, 2, None),
+    (3000, 16.0, 2, None),
+    (3000, 8.0, 2, 340),
+    (3000, 8.0, 2, 380),
+    (4000, 5.0, 3, None),
+    (4000, 5.0, 3, 200),
+    (4000, 5.0, 3, 240),
+    (4000, 3.0, 4, 200),
+    (4000, 3.0, 4, 260),
+]
+
+
 class TestGeneratorAgainstReference:
     """``generator_algorithm`` keeps a coverage counter where the reference
     rebuilds F on every repair; both must return the same matching, or
     stall with the same message, iteration count and |F|."""
 
-    @pytest.mark.parametrize(
-        "n, d, k, s",
-        # s=None takes default_pair_count at the graph's mean degree: the
-        # formula gives -10.96 at (3000, 8.0, 2), so that case runs the clamp
-        # to s = 1, and 19.05 at (3000, 16.0, 2), so s = 19 there (4.19, so
-        # s = 4, at (4000, 5.0, 3)); the larger s need fallback scans near
-        # the end, and the largest of each k stall for every seed
-        [
-            (3000, 8.0, 2, None),
-            (3000, 16.0, 2, None),
-            (3000, 8.0, 2, 340),
-            (3000, 8.0, 2, 380),
-            (4000, 5.0, 3, None),
-            (4000, 5.0, 3, 200),
-            (4000, 5.0, 3, 240),
-            (4000, 3.0, 4, 200),
-            (4000, 3.0, 4, 260),
-        ],
-    )
+    @pytest.mark.parametrize("n, d, k, s", GENERATOR_GRID)
     def test_seed_grid(self, n, d, k, s):
         g = km.sample_gnp(GnpParams(n, d / n, 1000 + k))
         for seed in range(5):
@@ -696,6 +713,13 @@ class TestGeneratorAgainstReference:
             assert generator_outcome(km.generator_algorithm, g, cfg) == (
                 generator_outcome(reference_generator_algorithm, g, cfg)
             ), seed
+
+    @pytest.mark.parametrize("n, d, k, s", GENERATOR_GRID)
+    def test_seed_grid_fallback_only(self, monkeypatch, n, d, k, s):
+        # no rejection draws: every repair takes its edge from the exact
+        # scan of the edges induced by F
+        monkeypatch.setattr(matching, "_REJECTION_TRIES", 0)
+        self.test_seed_grid(n, d, k, s)
 
     @pytest.mark.parametrize(
         "g, cfg",
