@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "AsymptoticParams",
@@ -201,12 +200,12 @@ def expected_num_k_matchings_log(params: AsymptoticParams, m: int) -> float:
     if m == 0:
         return 0.0
     count_log = (
-        gammaln(params.n + 1)
-        - gammaln(params.n - 2 * m + 1)
+        math.lgamma(params.n + 1)
+        - math.lgamma(params.n - 2 * m + 1)
         - m * math.log(2.0)
-        - gammaln(m + 1)
+        - math.lgamma(m + 1)
     )
-    return float(count_log) + prob_k_matching_main_log(params, m)
+    return count_log + prob_k_matching_main_log(params, m)
 
 
 def first_moment_exponent(params: AsymptoticParams, m: float) -> float:
@@ -417,10 +416,8 @@ def second_moment_ratio_main_log(
         raise RegimeError("p must be > 0")
     r, c_v, c_e = profile.r, profile.c_v, profile.c_e
     shared = 2 * c_e + c_v
-    out = 2.0 * float(gammaln(m + 1))
-    out -= 2.0 * float(gammaln(r + 1)) + float(gammaln(c_e + 1)) + float(
-        gammaln(c_v + 1)
-    )
+    out = 2.0 * math.lgamma(m + 1)
+    out -= 2.0 * math.lgamma(r + 1) + math.lgamma(c_e + 1) + math.lgamma(c_v + 1)
     out -= shared * math.log(params.n)
     out += (2 * c_v + c_e) * math.log(2.0)
     out -= c_e * math.log(params.p)

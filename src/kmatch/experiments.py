@@ -187,21 +187,21 @@ def _summary_bounds(cfg: TrialConfig) -> Optional[analytic.BoundSet]:
 
 
 def _pair_count(cfg: TrialConfig, mode: str) -> int:
-    """s for one run.  The generator clamps the pair target to 1, as
-    ``default_pair_count`` does; theorem51 and layers describe random
-    2s-sets where the target is at least 1, so below that they raise."""
+    """s for one run: the override, else ``default_pair_count``.  The
+    generator clamps the pair target to 1; theorem51 and layers describe
+    random 2s-sets where the target is at least 1, so below that they
+    raise."""
     if cfg.s_override is not None:
         return cfg.s_override
     params = cfg.asymptotic_params()
-    if mode == "experiment":
-        return default_pair_count(params)
-    s_real = analytic.generator_pair_target(params)
-    if s_real < 1.0:
-        raise analytic.RegimeError(
-            f"pair target s = {s_real} < 1 at n={cfg.n}, "
-            f"d={cfg.expected_degree()}, k={cfg.k}"
-        )
-    return math.floor(s_real)
+    if mode != "experiment":
+        s_real = analytic.generator_pair_target(params)
+        if s_real < 1.0:
+            raise analytic.RegimeError(
+                f"pair target s = {s_real} < 1 at n={cfg.n}, "
+                f"d={cfg.expected_degree()}, k={cfg.k}"
+            )
+    return default_pair_count(params)
 
 
 def _trial(

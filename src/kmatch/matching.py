@@ -37,6 +37,7 @@ from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     _induced_edge_from_mask,
     _induced_edges,
     _ints,
+    _runs,
 )
 
 __all__ = [
@@ -132,18 +133,24 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     The distances come with either verdict.  Raises InvalidMatchingError
     when a member is not a pair of vertex ids of g.
 
-    One multi-source BFS from the matched vertices labels each vertex with
-    the member that owns a nearest matched vertex.  Two members lie within
-    endpoint distance k-1 exactly when some graph edge (x, y) joins
-    vertices of different owners with dist[x] + 1 + dist[y] <= k-1: a
-    shortest path between the two members changes owner along some edge,
-    and the labelled distances on either side of it are at most the path's
-    lengths to its ends (the Voronoi boundary-edge test of Mehlhorn, IPL
-    1988).  The test reads owners only at distance <= k-2, so the BFS
-    leaves its last level unlabelled.  Such an edge has an endpoint at
-    distance <= (k-2)//2, so only the neighbours of those vertices are
-    scanned; the same scan finds each member's own edge and, by counting
-    them, shared endpoints.
+    m is a k-matching when three checks pass:
+
+    * every member (u, v) is an edge: v is in u's upper row, which holds
+      only neighbours larger than u, so never a reversed pair or a loop;
+    * no two members share an endpoint: each matched vertex, labelled
+      with its member's index, reads that index back;
+    * no two members lie within endpoint distance k-1.  One multi-source
+      BFS from the matched vertices labels each vertex with the member
+      that owns a nearest matched vertex.  Two members lie that close
+      exactly when some graph edge (x, y) joins vertices of different
+      owners with dist[x] + 1 + dist[y] <= k-1: a shortest path between
+      the two members changes owner along some edge, and the labelled
+      distances on either side of it are at most the path's lengths to
+      its ends (the Voronoi boundary-edge test of Mehlhorn, IPL 1988).
+      The test reads owners only at distance <= k-2, so the BFS leaves its
+      last level unlabelled.  Such an edge has an endpoint at distance
+      <= (k-2)//2, so only the neighbours of those vertices are scanned;
+      at k=1 there are none.
     """
     k = m.k
     try:
@@ -154,18 +161,18 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     if not in_range:
         raise InvalidMatchingError("a member is not a pair of vertices of this graph")
     mu, mv = pairs[:, 0], pairs[:, 1]
+    pos, counts = _runs(g.upper_ptr[mu], g.upper_ptr[mu + 1])
+    edges = np.count_nonzero(g.ev[pos] == np.repeat(mv, counts)) == mu.size
     src = np.concatenate([mu, mv])
+    labels = np.tile(np.arange(mu.size, dtype=np.int32), 2)
     owner = np.full(g.n, -1, dtype=np.int32)
-    owner[src] = np.tile(np.arange(mu.size, dtype=np.int32), 2)
+    owner[src] = labels
+    disjoint = np.array_equal(owner[src], labels)
     dist = _bfs(g, src, k, owner)
-    partner = np.full(g.n, -1, dtype=np.int64)
-    partner[mu], partner[mv] = mv, mu
-    near = np.flatnonzero(dist <= max(k - 2, 0) // 2)
-    y, x = _gather_neighbors(g, near, near)
-    # at most one hit per distinct matched vertex: fewer than 2|m| hits
-    # mean a member is not an edge or two members share an endpoint
-    if not np.all(mu < mv) or np.count_nonzero(y == partner[x]) < src.size:
+    if not (edges and disjoint):
         return dist, False
+    near = np.flatnonzero(dist <= (k - 2) // 2)
+    y, x = _gather_neighbors(g, near, near)
     close = dist[x] + dist[y] <= k - 2
     return dist, not np.any(owner[x[close]] != owner[y[close]])
 
@@ -175,7 +182,7 @@ def is_k_matching(g: Graph, m: KMatching) -> bool:
     minimum endpoint distance >= k.  Malformed members yield False.
 
     Checked in one owner-labelled BFS from the matched vertices; see
-    ``_matched_distance`` for the boundary-edge test.
+    ``_matched_distance`` for the three checks.
     """
     try:
         return _matched_distance(g, m)[1]
@@ -183,28 +190,21 @@ def is_k_matching(g: Graph, m: KMatching) -> bool:
         return False
 
 
-def _far_mask(g: Graph, m: KMatching) -> np.ndarray:
-    """Vertices at distance >= k from the matched set, from the same pass
-    that validates m; raises InvalidMatchingError if m is not a k-matching
-    of g."""
-    dist, valid = _matched_distance(g, m)
-    if not valid:
-        raise InvalidMatchingError("not a k-matching of this graph")
-    return dist == m.k
-
-
 def is_maximal_k_matching(g: Graph, m: KMatching) -> bool:
     """True iff no edge of g can be added: every edge has an endpoint
     within distance k-1 of a matched vertex.  Raises InvalidMatchingError
     when m is not a k-matching of g."""
-    return _induced_edge_from_mask(g, _far_mask(g, m)) is None
+    dist, valid = _matched_distance(g, m)
+    if not valid:
+        raise InvalidMatchingError("not a k-matching of this graph")
+    return _induced_edge_from_mask(g, dist == m.k) is None
 
 
 def gamma_independence_check(g: Graph, m: KMatching) -> bool:
     """For a maximal k-matching the vertices at distance >= k from the
     matched set induce no edge; exposed as a test hook.  Raises
     InvalidMatchingError if m is not maximal."""
-    if _induced_edge_from_mask(g, _far_mask(g, m)) is not None:
+    if not is_maximal_k_matching(g, m):
         raise InvalidMatchingError("not a maximal k-matching of this graph")
     return True
 

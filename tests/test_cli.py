@@ -137,7 +137,10 @@ class TestMatchingCommands:
             "generator", "--n", "8", "--p", "0", "--k", "2", "--seed", "1", "--s", "1",
         )
         assert code == 2
-        assert "stalled" in err
+        assert err == (
+            "kmatch: generator stalled: "
+            "no edge induced by the distance->=k vertex set\n"
+        )
 
     def test_generator_no_vertices_is_error(self, capsys):
         for flag, value in (("--d", "5"), ("--p", "0.5")):

@@ -254,6 +254,24 @@ class TestIsKMatching:
         assert not km.is_k_matching(g, KMatching.of(2, [(0, 2)]))  # non-edge
         assert not km.is_k_matching(g, KMatching.of(2, [(0, 9)]))  # out of range
         assert not km.is_k_matching(g, KMatching.of(2, [(0, 2**70)]))
+        for k in (1, 2):
+            assert not km.is_k_matching(g, KMatching(k, frozenset({(1, 0)})))
+            assert not km.is_k_matching(g, KMatching(k, frozenset({(2, 2)})))
+
+    def test_k1_validation_reads_only_the_members_rows(self):
+        # a maximal k=1 matching covers most vertices: gathering all their
+        # neighbours took 46 bytes per edge here, the members' own upper
+        # rows (fewer than m entries) 15
+        g = km.sample_gnp(GnpParams(10**5, 2e-4, 5))
+        m = km.greedy_k_matching(g, 1, 1)
+        tracemalloc.start()
+        try:
+            _, valid = _matched_distance(g, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert valid
+        assert peak <= 24 * g.edge_count, peak / g.edge_count
 
     def test_matches_pairwise_edge_distance(self):
         # definition check: pairwise edge distance >= k+1, i.e. min
