@@ -31,7 +31,6 @@ from .graph import (
     write_edge_list,
 )
 from .matching import (
-    GeneratorConfig,
     GeneratorStalled,
     InstanceTooLargeError,
     InvalidMatchingError,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticParams",
     "BoundSet",
-    "GeneratorConfig",
     "GeneratorStalled",
     "GnpParams",
     "Graph",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-import numpy as np
 
 __all__ = [
     "AsymptoticParams",
@@ -30,6 +29,7 @@ __all__ = [
     "bounds",
     "check_f_monotone",
     "claim_a3_quadratic",
+    "default_pair_count",
     "expected_num_k_matchings_log",
     "far_set_size_scale",
     "first_moment_exponent",
@@ -55,17 +55,17 @@ class RegimeError(ValueError):
 class AsymptoticParams:
     """The (n, d, p, k, p_d) bundle every formula below consumes.
 
-    Construction checks internal consistency (d = n*p, p_d = d^(k-1)/n to
-    machine precision).  p_d < 1 -- the d^(k-1) = o(n) regime -- is
-    enforced by the formulas that use a (1-p_d) factor, so the product
-    bounds stay usable at tiny n where p_d can exceed 1.
+    Construction checks internal consistency (d = n*p to machine
+    precision); p_d = d^(k-1)/n is derived from d.  p_d < 1 -- the
+    d^(k-1) = o(n) regime -- is enforced by the formulas that use a
+    (1-p_d) factor, so the product bounds stay usable at tiny n where p_d
+    can exceed 1.
     """
 
     n: int
     d: float
     p: float
     k: int
-    p_d: float
 
     def __post_init__(self) -> None:
         _require_vertices(self.n)
@@ -75,20 +75,21 @@ class AsymptoticParams:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if not math.isclose(self.d, self.n * self.p, rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError(f"d={self.d} inconsistent with n*p={self.n * self.p}")
-        expected_pd = self.d ** (self.k - 1) / self.n
-        if not math.isclose(self.p_d, expected_pd, rel_tol=1e-9, abs_tol=1e-300):
-            raise ValueError(f"p_d={self.p_d} inconsistent with d^(k-1)/n")
+
+    @property
+    def p_d(self) -> float:
+        return self.d ** (self.k - 1) / self.n
 
     @classmethod
     def from_nd(cls, n: int, d: float, k: int) -> "AsymptoticParams":
         _require_vertices(n)
-        return cls(n=n, d=d, p=d / n, k=k, p_d=d ** (k - 1) / n)
+        return cls(n=n, d=d, p=d / n, k=k)
 
     @classmethod
     def from_np(cls, n: int, p: float, k: int) -> "AsymptoticParams":
         _require_vertices(n)
         d = n * p
-        return cls(n=n, d=d, p=p, k=k, p_d=d ** (k - 1) / n)
+        return cls(n=n, d=d, p=p, k=k)
 
 
 def _require_vertices(n: int) -> None:
@@ -155,6 +156,13 @@ def generator_pair_target(params: AsymptoticParams) -> float:
         raise RegimeError(f"d must be > 1, got {params.d}")
     kld = params.k * math.log(params.d)
     return params.n / (4.0 * params.d ** (params.k - 1)) * (kld - 3.0 * math.log(kld))
+
+
+def default_pair_count(params: AsymptoticParams) -> int:
+    """The generator's pair count s: floor of ``generator_pair_target``,
+    clamped to >= 1.  Callers choose the d: a graph sampled at a configured
+    degree takes that d, a given graph its mean degree."""
+    return max(1, math.floor(generator_pair_target(params)))
 
 
 def far_set_size_scale(params: AsymptoticParams) -> float:
@@ -334,23 +342,16 @@ def g_value(params: AsymptoticParams, x: float) -> float:
     )
 
 
-def check_f_monotone(params: AsymptoticParams, grid_size: int = 1000) -> bool:
-    """True iff log f is strictly increasing across a uniform grid on
-    [1, (k-1) n ln d / (4 d^(k-1))], the range on which monotonicity is
-    claimed."""
+def check_f_monotone(params: AsymptoticParams) -> bool:
+    """True iff log f is strictly increasing across 1000 evenly spaced
+    points of [1, (k-1) n ln d / (4 d^(k-1))], the range on which
+    monotonicity is claimed."""
     _require_sparse(params)
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     hi = (params.k - 1) * _scale(params) / 4.0
     if hi <= 1.0:
         raise RegimeError("monotonicity range [1, (k-1)n ln d/4d^(k-1)] is empty")
-    xs = np.linspace(1.0, hi, grid_size)
-    logf = (
-        -0.5 * np.log(2.0 * math.pi * xs)
-        + xs * (1.0 + np.log(params.d * params.n / (2.0 * xs)))
-        + 2.0 * xs * (xs - 1.0) * math.log1p(-params.p_d)
-    )
-    return bool(np.all(np.diff(logf) > 0.0))
+    logf = [log_f_value(params, 1.0 + (hi - 1.0) * i / 999) for i in range(1000)]
+    return all(a < b for a, b in zip(logf, logf[1:]))
 
 
 # ---------------------------------------------------------------------------

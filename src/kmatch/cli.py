@@ -118,12 +118,16 @@ def _cmd_greedy(args) -> int:
 def _cmd_generator(args) -> int:
     g = _resolve_graph(args)
     s = args.s
-    if s is None and not args.input:
-        # a sampled graph targets its configured degree, as `experiment` does;
-        # only an --input graph falls back to its mean degree
-        s = matching.default_pair_count(_params_from_args(args))
-    cfg = matching.GeneratorConfig(k=args.k, seed=args.seed, s_override=s)
-    _print_matching(matching.generator_algorithm(g, cfg), args.out)
+    if s is None:
+        # a sampled graph targets its configured degree, as `experiment`
+        # does; an --input graph its mean degree
+        params = (
+            analytic.AsymptoticParams.from_nd(g.n, g.mean_degree(), args.k)
+            if args.input
+            else _params_from_args(args)
+        )
+        s = analytic.default_pair_count(params)
+    _print_matching(matching.generator_algorithm(g, args.k, args.seed, s), args.out)
     return 0
 
 

@@ -30,11 +30,9 @@ from .graph import (
     sample_gnp,
 )
 from .matching import (  # bench/run.py wraps experiments.is_k_matching by name
-    GeneratorConfig,
     GeneratorStalled,
     KMatching,
     _matched_distance,
-    default_pair_count,
     exact_um_k,
     greedy_k_matching,
     generator_algorithm,
@@ -201,7 +199,7 @@ def _pair_count(cfg: TrialConfig, mode: str) -> int:
                 f"pair target s = {s_real} < 1 at n={cfg.n}, "
                 f"d={cfg.expected_degree()}, k={cfg.k}"
             )
-    return default_pair_count(params)
+    return analytic.default_pair_count(params)
 
 
 def _trial(
@@ -223,9 +221,8 @@ def _trial(
         if cfg.algorithm == "greedy":
             matching = greedy_k_matching(g, cfg.k, _sub_seed(seed, 1))
         elif cfg.algorithm == "generator":
-            gen_cfg = GeneratorConfig(k=cfg.k, seed=_sub_seed(seed, 1), s_override=s)
             try:
-                matching = generator_algorithm(g, gen_cfg)
+                matching = generator_algorithm(g, cfg.k, _sub_seed(seed, 1), s)
             except GeneratorStalled:
                 pass
         else:

@@ -19,13 +19,11 @@ Three constructions live here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from . import analytic
 from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     Graph,
     bounded_ball,
@@ -37,11 +35,9 @@ from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     _induced_edge_from_mask,
     _induced_edges,
     _ints,
-    _runs,
 )
 
 __all__ = [
-    "GeneratorConfig",
     "GeneratorStalled",
     "InstanceTooLargeError",
     "InvalidMatchingError",
@@ -112,7 +108,7 @@ class KMatching:
         k, m = _ints(header, 1)
         if m < 0:
             raise ValueError(f"negative edge count {m} at line 1")
-        pairs = []
+        pairs = set()
         for i in range(1, m + 1):
             parts = lines[i].split() if i < len(lines) else []
             if len(parts) != 2:
@@ -120,7 +116,9 @@ class KMatching:
             u, v = _ints(parts, i + 1)
             if u >= v:
                 raise ValueError(f"edge {u} {v} is not normalized at line {i + 1}")
-            pairs.append((u, v))
+            if (u, v) in pairs:
+                raise ValueError(f"repeated edge {u} {v} at line {i + 1}")
+            pairs.add((u, v))
         for i, line in enumerate(lines[m + 1 :], start=m + 2):
             if line.strip():
                 raise ValueError(f"content after the declared edge count at line {i}")
@@ -135,8 +133,9 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
 
     m is a k-matching when three checks pass:
 
-    * every member (u, v) is an edge: v is in u's upper row, which holds
-      only neighbours larger than u, so never a reversed pair or a loop;
+    * every member (u, v) is an edge: a bisection finds v in u's sorted
+      upper row, which holds only neighbours larger than u, so never a
+      reversed pair or a loop;
     * no two members share an endpoint: each matched vertex, labelled
       with its member's index, reads that index back;
     * no two members lie within endpoint distance k-1.  One multi-source
@@ -161,8 +160,16 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     if not in_range:
         raise InvalidMatchingError("a member is not a pair of vertices of this graph")
     mu, mv = pairs[:, 0], pairs[:, 1]
-    pos, counts = _runs(g.upper_ptr[mu], g.upper_ptr[mu + 1])
-    edges = np.count_nonzero(g.ev[pos] == np.repeat(mv, counts)) == mu.size
+    # lower-bound bisection of every member's sorted upper row at once; a
+    # closed search can sit at ev.size, hence the clamped read
+    lo, end = g.upper_ptr[mu], g.upper_ptr[mu + 1]
+    hi = end
+    for _ in range(int((end - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        below = (lo < hi) & (g.ev[np.minimum(mid, g.ev.size - 1)] < mv)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    edges = bool(np.all(lo < end)) and np.array_equal(g.ev[lo], mv)
     src = np.concatenate([mu, mv])
     labels = np.tile(np.arange(mu.size, dtype=np.int32), 2)
     owner = np.full(g.n, -1, dtype=np.int32)
@@ -272,39 +279,14 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Settings for ``generator_algorithm``.
-
-    ``s_override`` fixes the target size; otherwise s is
-    ``default_pair_count`` at the graph's mean degree.  The repair loop
-    needs no budget: it makes at most s repairs.
-    """
-
-    k: int
-    seed: int
-    s_override: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("generator needs k >= 2")
-        if self.s_override is not None and self.s_override < 1:
-            raise ValueError("s_override must be >= 1")
-
-
 _REJECTION_TRIES = 256
 
 
-def default_pair_count(params: analytic.AsymptoticParams) -> int:
-    """The generator's pair count s: floor of the pair-target formula at
-    (n, d, k), clamped to >= 1.  A graph sampled at a configured degree
-    takes that d; a given graph takes its mean degree."""
-    return max(1, math.floor(analytic.generator_pair_target(params)))
-
-
-def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
+def generator_algorithm(g: Graph, k: int, seed: int, s: int) -> KMatching:
     """Build a k-matching of exactly s edges by pairing 2s random vertices
-    and repairing invalid pairs one at a time.
+    and repairing invalid pairs one at a time.  The caller chooses s, the
+    paper's at (n, d, k) being ``analytic.default_pair_count``; the repair
+    loop needs no budget, as it makes at most s repairs.
 
     A coverage counter holds, per vertex, the number of selected vertices
     within distance k-1: the set F of vertices at distance >= k from the
@@ -322,14 +304,13 @@ def generator_algorithm(g: Graph, cfg: GeneratorConfig) -> KMatching:
 
     Raises GeneratorStalled, carrying |F|, when F induces no edge.
     """
-    k = cfg.k
-    s = cfg.s_override
-    if s is None:
-        params = analytic.AsymptoticParams.from_nd(g.n, g.mean_degree(), k)
-        s = default_pair_count(params)
+    if k < 2:
+        raise ValueError("generator needs k >= 2")
+    if s < 1:
+        raise ValueError("s_override must be >= 1")
     if 2 * s > g.n:
         raise ValueError(f"need 2s={2 * s} <= n={g.n} distinct vertices")
-    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+    rng = np.random.default_rng(np.random.PCG64(seed))
     draw = rng.choice(g.n, size=2 * s, replace=False)
     pu = np.minimum(draw[0::2], draw[1::2]).astype(np.int64)
     pv = np.maximum(draw[0::2], draw[1::2]).astype(np.int64)

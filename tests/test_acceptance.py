@@ -205,7 +205,7 @@ def test_c10_layer_growth_band():
 def test_c11_log_f_monotone_and_g_negative():
     with criterion(11, "log-f-monotone"):
         params = AsymptoticParams.from_nd(10**8, 100.0, 3)
-        assert an.check_f_monotone(params, grid_size=1000)
+        assert an.check_f_monotone(params)
         x = params.k * params.n * math.log(params.d) / (4 * params.d ** (params.k - 1))
         assert an.g_value(params, x) < 0.0
 

@@ -14,9 +14,7 @@ def params_nd(n, d, k):
 class TestParams:
     def test_consistency_enforced(self):
         with pytest.raises(ValueError):
-            AsymptoticParams(n=100, d=5.0, p=0.2, k=2, p_d=0.05)
-        with pytest.raises(ValueError):
-            AsymptoticParams(n=100, d=20.0, p=0.2, k=2, p_d=0.5)
+            AsymptoticParams(n=100, d=5.0, p=0.2, k=2)
 
     def test_constructors_agree(self):
         a = AsymptoticParams.from_nd(1000, 5.0, 3)
@@ -182,7 +180,7 @@ class TestJanson:
 
 class TestFG:
     def test_monotone_reference_point(self):
-        assert an.check_f_monotone(params_nd(10**8, 100.0, 3), 1000)
+        assert an.check_f_monotone(params_nd(10**8, 100.0, 3))
 
     def test_g_negative_at_k_scale(self):
         p = params_nd(10**8, 100.0, 3)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import kmatch as km
+from kmatch.analytic import default_pair_count
 from kmatch.cli import main
 
 
@@ -178,7 +179,7 @@ class TestMatchingCommands:
         cfg = km.experiments.TrialConfig(
             n=10**5, k=2, trials=1, base_seed=4, algorithm="generator", d=20.0
         )
-        s = km.matching.default_pair_count(cfg.asymptotic_params())
+        s = default_pair_count(cfg.asymptotic_params())
         assert s == 775
         code, out, _ = run(
             capsys, "generator", "--n", "1e5", "--d", "20", "--k", "2", "--seed", "4"
@@ -195,8 +196,6 @@ class TestMatchingCommands:
         assert row["matching_size"] == str(s)
 
     def test_generator_on_file_takes_mean_degree(self, capsys, tmp_path):
-        from kmatch.matching import default_pair_count
-
         g = km.sample_gnp(km.GnpParams(4000, 8.0 / 4000, 2))
         path = tmp_path / "g.edges"
         km.write_edge_list(g, str(path))
@@ -207,6 +206,18 @@ class TestMatchingCommands:
         s = default_pair_count(params)
         assert code == 0
         assert out.startswith(f"size {s}\n")
+
+    def test_generator_on_file_rejects_k1(self, capsys, tmp_path):
+        # s is taken at the file's mean degree before the generator runs,
+        # so the parameter check speaks first, as for a sampled graph
+        path = tmp_path / "g.edges"
+        km.write_edge_list(km.path_graph(8), str(path))
+        code, out, err = run(
+            capsys, "generator", "--input", str(path), "--k", "1", "--seed", "3"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "kmatch: error: k must be >= 2\n"
 
     def test_exact_on_file(self, capsys, tmp_path):
         path = tmp_path / "g.edges"

@@ -13,17 +13,15 @@ from scipy import stats
 
 import kmatch as km
 from kmatch import matching
-from kmatch.analytic import AsymptoticParams
+from kmatch.analytic import AsymptoticParams, default_pair_count
 from kmatch.graph import GnpParams, distance_to_set
 from kmatch.matching import (
     _SCAN_CHUNK,
-    GeneratorConfig,
     GeneratorStalled,
     InstanceTooLargeError,
     InvalidMatchingError,
     KMatching,
     _matched_distance,
-    default_pair_count,
 )
 
 from bfs_reference import python_ball
@@ -43,7 +41,7 @@ def brute_force_um_k(g, k):
     return best
 
 
-def reference_generator_algorithm(g, cfg):
+def reference_generator_algorithm(g, k, seed, s):
     """Reference pair-and-repair loop: rebuilds the far set F with a full
     ``distance_to_set`` on every repair and checks pairs by a Python ball
     walk.  It consumes the RNG exactly as ``generator_algorithm`` must: one
@@ -52,13 +50,9 @@ def reference_generator_algorithm(g, cfg):
     patched budget reaches both.  After each repair it asserts that the
     repaired pair is valid and that no valid pair has turned invalid, so
     the pass makes at most s repairs."""
-    k = cfg.k
-    s = cfg.s_override
-    if s is None:
-        s = default_pair_count(AsymptoticParams.from_nd(g.n, g.mean_degree(), k))
     if 2 * s > g.n:
         raise ValueError(f"need 2s={2 * s} <= n={g.n} distinct vertices")
-    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+    rng = np.random.default_rng(np.random.PCG64(seed))
     draw = rng.choice(g.n, size=2 * s, replace=False)
     pu = np.minimum(draw[0::2], draw[1::2]).astype(np.int64)
     pv = np.maximum(draw[0::2], draw[1::2]).astype(np.int64)
@@ -220,10 +214,11 @@ def networkx_is_maximal(g, m):
 
 
 def generator_outcome(fn, g, cfg):
-    """The matching ``fn`` builds, or the message, iteration count and |F|
-    of the GeneratorStalled it raises."""
+    """The matching ``fn(g, k, seed, s)`` builds for ``cfg = (k, seed, s)``,
+    or the message, iteration count and |F| of the GeneratorStalled it
+    raises."""
     try:
-        return fn(g, cfg)
+        return fn(g, *cfg)
     except GeneratorStalled as exc:
         return (str(exc), exc.iterations, exc.far_size)
 
@@ -261,7 +256,8 @@ class TestIsKMatching:
     def test_k1_validation_reads_only_the_members_rows(self):
         # a maximal k=1 matching covers most vertices: gathering all their
         # neighbours took 46 bytes per edge here, the members' own upper
-        # rows (fewer than m entries) 15
+        # rows (fewer than m entries) 15; a bisection of each member's row
+        # needs O(|m|) memory, and the peak is the BFS's O(n) arrays
         g = km.sample_gnp(GnpParams(10**5, 2e-4, 5))
         m = km.greedy_k_matching(g, 1, 1)
         tracemalloc.start()
@@ -271,7 +267,7 @@ class TestIsKMatching:
         finally:
             tracemalloc.stop()
         assert valid
-        assert peak <= 24 * g.edge_count, peak / g.edge_count
+        assert peak <= 8 * g.edge_count, peak / g.edge_count
 
     def test_matches_pairwise_edge_distance(self):
         # definition check: pairwise edge distance >= k+1, i.e. min
@@ -443,35 +439,31 @@ class TestExact:
 class TestGenerator:
     def test_complete_graph_single_pair(self):
         for n in (4, 6, 9):
-            m = km.generator_algorithm(
-                km.complete_graph(n), GeneratorConfig(k=2, seed=5, s_override=1)
-            )
+            m = km.generator_algorithm(km.complete_graph(n), 2, 5, 1)
             assert m.size == 1
             assert km.is_k_matching(km.complete_graph(n), m)
 
     def test_edgeless_stalls(self):
         with pytest.raises(GeneratorStalled):
-            km.generator_algorithm(
-                km.from_edges(8, []), GeneratorConfig(k=2, seed=5, s_override=1)
-            )
+            km.generator_algorithm(km.from_edges(8, []), 2, 5, 1)
 
     def test_output_size_exact_and_valid(self):
         g = km.sample_gnp(GnpParams(3000, 10.0 / 3000, 77))
         for seed in range(5):
-            m = km.generator_algorithm(g, GeneratorConfig(k=2, seed=seed, s_override=40))
+            m = km.generator_algorithm(g, 2, seed, 40)
             assert m.size == 40
             assert km.is_k_matching(g, m)
 
     def test_k3_run(self):
         g = km.sample_gnp(GnpParams(5000, 4.0 / 5000, 13))
-        m = km.generator_algorithm(g, GeneratorConfig(k=3, seed=4, s_override=12))
+        m = km.generator_algorithm(g, 3, 4, 12)
         assert m.size == 12
         assert km.is_k_matching(g, m)
 
     def test_determinism(self):
         g = km.sample_gnp(GnpParams(2000, 8.0 / 2000, 21))
-        a = km.generator_algorithm(g, GeneratorConfig(k=2, seed=9, s_override=25))
-        b = km.generator_algorithm(g, GeneratorConfig(k=2, seed=9, s_override=25))
+        a = km.generator_algorithm(g, 2, 9, 25)
+        b = km.generator_algorithm(g, 2, 9, 25)
         assert a.edges == b.edges
 
     def test_default_pair_count_matches_formula(self):
@@ -491,9 +483,14 @@ class TestGenerator:
 
     def test_too_many_pairs_rejected(self):
         with pytest.raises(ValueError):
-            km.generator_algorithm(
-                km.complete_graph(4), GeneratorConfig(k=2, seed=0, s_override=3)
-            )
+            km.generator_algorithm(km.complete_graph(4), 2, 0, 3)
+
+    def test_k_and_s_checked_first(self):
+        g = km.complete_graph(4)
+        with pytest.raises(ValueError, match=r"^generator needs k >= 2$"):
+            km.generator_algorithm(g, 1, 0, 1)
+        with pytest.raises(ValueError, match=r"^s_override must be >= 1$"):
+            km.generator_algorithm(g, 2, 0, 0)
 
 
 class TestGreedyAgainstReference:
@@ -726,8 +723,10 @@ class TestGeneratorAgainstReference:
     @pytest.mark.parametrize("n, d, k, s", GENERATOR_GRID)
     def test_seed_grid(self, n, d, k, s):
         g = km.sample_gnp(GnpParams(n, d / n, 1000 + k))
+        if s is None:
+            s = default_pair_count(AsymptoticParams.from_nd(n, g.mean_degree(), k))
         for seed in range(5):
-            cfg = GeneratorConfig(k=k, seed=seed, s_override=s)
+            cfg = (k, seed, s)
             assert generator_outcome(km.generator_algorithm, g, cfg) == (
                 generator_outcome(reference_generator_algorithm, g, cfg)
             ), seed
@@ -742,12 +741,12 @@ class TestGeneratorAgainstReference:
     @pytest.mark.parametrize(
         "g, cfg",
         [
-            (km.path_graph(64), GeneratorConfig(2, 0, 16)),
-            (km.path_graph(64), GeneratorConfig(3, 1, 4)),
-            (km.from_edges(8, []), GeneratorConfig(2, 5, 1)),
-            (km.from_edges(8, []), GeneratorConfig(3, 5, 4)),
-            (km.complete_graph(9), GeneratorConfig(2, 5, 1)),
-            (km.complete_graph(9), GeneratorConfig(2, 5, 3)),
+            (km.path_graph(64), (2, 0, 16)),
+            (km.path_graph(64), (3, 1, 4)),
+            (km.from_edges(8, []), (2, 5, 1)),
+            (km.from_edges(8, []), (3, 5, 4)),
+            (km.complete_graph(9), (2, 5, 1)),
+            (km.complete_graph(9), (2, 5, 3)),
         ],
     )
     def test_special_graphs(self, g, cfg):
@@ -766,7 +765,7 @@ class TestGeneratorAgainstReference:
     def test_small_gnp(self, n, p, k, seed, data):
         g = km.sample_gnp(GnpParams(n, p, seed))
         s = data.draw(st.integers(1, n // 2))
-        cfg = GeneratorConfig(k, seed, s)
+        cfg = (k, seed, s)
         assert generator_outcome(km.generator_algorithm, g, cfg) == (
             generator_outcome(reference_generator_algorithm, g, cfg)
         )
@@ -798,6 +797,7 @@ class TestSerialization:
             ("", "line 1"),
             ("2 1\na b\n", "'a' at line 2"),  # non-integer token
             ("2 x\n", "'x' at line 1"),
+            ("2 2\n0 1\n0 1\n", "repeated edge 0 1 at line 3"),
         ],
     )
     def test_rejects_malformed(self, text, where):
