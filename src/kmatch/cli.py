@@ -44,6 +44,17 @@ def _count(text: str) -> int:
     return out
 
 
+def _pairs(text: str) -> int:
+    """--s: a pair count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_graph_source(p: argparse.ArgumentParser, need_seed: bool = True) -> None:
     p.add_argument("--input", help="read the graph from an edge-list file")
     p.add_argument("--n", type=_count, help="vertex count (scientific notation ok)")
@@ -287,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_graph_source(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, help="target size (default: closed form)")
+    p.add_argument("--s", type=_pairs, help="target size (default: closed form)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generator)
 
@@ -332,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--algorithm", required=True, choices=list(experiments.ALGORITHMS))
-    p.add_argument("--s", type=int, help="generator size override")
+    p.add_argument("--s", type=_pairs, help="generator size override")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument(
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_scale(p)
         p.add_argument("--samples", type=_count, required=True)
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--s", type=int, help="pair-count override")
+        p.add_argument("--s", type=_pairs, help="pair-count override")
         p.add_argument("--format", default="csv", choices=["csv", "json"])
         p.add_argument("--out")
         p.set_defaults(func=_cmd_sampled_sets)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "UNREACHABLE",
@@ -149,6 +148,8 @@ def _from_upper_rows(n: int, counts: np.ndarray, ev: np.ndarray) -> Graph:
     stable, so each transposed row lists the vertex's smaller neighbours
     ascending.  The build is O(n + m) and sorts nothing.
     """
+    from scipy import sparse  # imported here: it takes 0.2 s, and only builds need it
+
     m = ev.shape[0]
     upper_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=upper_ptr[1:])
@@ -199,7 +200,9 @@ def complete_graph(n: int) -> Graph:
 # G(n,p) sampling
 # ---------------------------------------------------------------------------
 
-_BATCH_CAP = 1 << 22
+#: The sampler's batch size and the kernels' block size, in array entries:
+#: what one pass over int32 and int64 arrays keeps within a 2-4 MB L2.
+_BATCH_CAP = 1 << 16
 
 
 def _pair_offsets(n: int) -> np.ndarray:
@@ -245,10 +248,11 @@ def sample_gnp(params: GnpParams) -> Graph:
 
     Pair (u,v), u<v, has linear index u*n - u*(u+1)/2 + (v-u-1); successive
     selected indices differ by Geometric(p) jumps computed as
-    ``floor(log1p(-U)/log1p(-p)) + 1`` from uniforms U drawn in fixed-size
-    batches, so the draw sequence (hence the graph) is a pure function of
-    the seed.  Each batch is decoded to int32 larger endpoints as it is
-    drawn; no array of all the pair indices is ever held.
+    ``floor(log1p(-U)/log1p(-p)) + 1`` from uniforms U, each one 64-bit
+    output of the stream, so the graph is a pure function of the seed
+    whatever the batch size (``_BATCH_CAP`` at most).  Each batch is decoded
+    to int32 larger endpoints as it is drawn; no array of all the pair
+    indices is ever held.
     """
     n = params.n
     rng = np.random.default_rng(np.random.PCG64(params.seed))
@@ -328,7 +332,17 @@ def bounded_ball(g: Graph, seeds: Sequence[int], radius: int) -> list[int]:
     the ball, not the graph."""
     if len(seeds) == 0:
         return []
-    return np.unique(_ball(g, seeds, radius)).tolist()
+    return _distinct(_ball(g, seeds, radius)).tolist()
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` by a sort and a neighbour compare: numpy 2's hash
+    path took 15-30x as long on int arrays of 10^5 entries."""
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _runs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,6 +353,21 @@ def _runs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray
     pos = np.repeat(starts - ends + counts, counts)
     pos += np.arange(pos.size, dtype=np.int64)
     return pos, counts
+
+
+def _blocks(verts: np.ndarray, *ptrs: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of ``verts`` whose runs under the CSR pointer
+    arrays ``ptrs`` hold at most ``_BATCH_CAP`` entries together (or one
+    vertex whose runs hold more), so that a gather over one stays in cache."""
+    ends = np.zeros(verts.size + 1, dtype=np.int64)
+    for ptr in ptrs:
+        ends[1:] += ptr[verts + 1] - ptr[verts]
+    np.cumsum(ends, out=ends)
+    start = 0
+    while start < verts.size:
+        stop = int(np.searchsorted(ends, ends[start] + _BATCH_CAP, side="right")) - 1
+        yield verts[start : max(stop, start + 1)]
+        start = max(stop, start + 1)
 
 
 def _gather_neighbors(
@@ -376,7 +405,7 @@ def _ball(g: Graph, seeds: Sequence[int], radius: int) -> np.ndarray:
             levels.append(g.ev[g.upper_ptr[s] : g.upper_ptr[s + 1]])
     frontier = levels[1:]
     for _ in range(radius - 1):
-        frontier = _gather_neighbors(g, np.unique(np.concatenate(frontier)))
+        frontier = _gather_neighbors(g, _distinct(np.concatenate(frontier)))
         levels += frontier
     return np.concatenate(levels)
 
@@ -387,28 +416,33 @@ def _bfs(
     """Distances from the in-range vertices ``src`` (repeats allowed),
     truncated at ``cap`` (see ``distance_to_set``).
 
+    Each level gathers the previous level's neighbours in ``_blocks``; the
+    next level is the distinct vertices that no earlier block had reached.
     Given ``owner``, a per-vertex label array already set at ``src``, every
     vertex at distance 1..cap-2 takes the label of a neighbour one level
-    closer, so each labelled vertex lies at its distance from a source of
-    its own label.  The last level, cap-1, is left unlabelled.
+    closer (from the first block that reaches it), so each labelled vertex
+    lies at its distance from a source of its own label.  The last level,
+    cap-1, is left unlabelled.
     """
     dist = np.full(g.n, cap, dtype=np.int32)
     dist[src] = 0
     frontier = src
     for level in range(1, cap):
-        last = level == cap - 1
-        if owner is not None and not last:
-            nbrs, labels = _gather_neighbors(g, frontier, owner[frontier])
+        label = owner is not None and level < cap - 1
+        reached = [np.empty(0, dtype=np.int32)]
+        for part in _blocks(frontier, g.lower_ptr, g.upper_ptr):
+            values = (owner[part],) if label else ()
+            nbrs, *labels = _gather_neighbors(g, part, *values)
             fresh = dist[nbrs] == cap
-            owner[nbrs[fresh]] = labels[fresh]
-        else:
-            (nbrs,) = _gather_neighbors(g, frontier)
-            fresh = dist[nbrs] == cap
-        nbrs = nbrs[fresh]
-        dist[nbrs] = level
-        if nbrs.size == 0 or last:
+            nbrs = nbrs[fresh]
+            if label:
+                owner[nbrs] = labels[0][fresh]
+            dist[nbrs] = level
+            reached.append(nbrs)
+        frontier = np.concatenate(reached)
+        if frontier.size == 0 or level == cap - 1:
             break  # the last level is never expanded, so never deduplicated
-        frontier = np.unique(nbrs)
+        frontier = _distinct(frontier)
     return dist
 
 
@@ -421,43 +455,37 @@ def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
     if cap < 1:
         raise ValueError("cap must be >= 1")
     src = np.asarray(list(sources) if not isinstance(sources, np.ndarray) else sources)
-    src = np.unique(src.astype(np.int64))
+    src = _distinct(src.astype(np.int64))
     if src.size and (src[0] < 0 or src[-1] >= g.n):
         raise ValueError("source vertex out of range")
     return _bfs(g, src, cap)
 
 
-def _induced_edges(
-    g: Graph, mask: np.ndarray, rows: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _induced_runs(g: Graph, mask: np.ndarray) -> Iterator[np.ndarray]:
     """Ascending ids of the edges with both endpoints in the boolean vertex
-    mask, read from the upper runs of the masked vertices ``rows``
-    (ascending; all of them by default): O(n + their larger-neighbour
-    counts), not O(m)."""
-    if rows is None:
-        rows = np.flatnonzero(mask)
-    ids = _runs(g.upper_ptr[rows], g.upper_ptr[rows + 1])[0]
-    # np.compress: boolean indexing took twice as long on dense masks
-    return np.compress(mask[g.ev[ids]], ids)
+    mask, one run per block of the masked vertices' upper rows, read in
+    ascending ``_blocks``: O(n + their larger-neighbour counts), not O(m)."""
+    rows = np.flatnonzero(mask)
+    for part in _blocks(rows, g.upper_ptr):
+        ids = _runs(g.upper_ptr[part], g.upper_ptr[part + 1])[0]
+        # np.compress: boolean indexing took twice as long on dense masks
+        yield np.compress(mask[g.ev[ids]], ids)
+
+
+def _induced_edges(g: Graph, mask: np.ndarray) -> np.ndarray:
+    """Ascending ids of the edges with both endpoints in the boolean vertex
+    mask (see ``_induced_runs``)."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *_induced_runs(g, mask)])
 
 
 def _induced_edge_from_mask(g: Graph, mask: np.ndarray) -> Optional[tuple[int, int]]:
     """Lexicographically least edge of g with both endpoints in the boolean
-    vertex mask, or None.
-
-    The masked vertices are read in ascending blocks of 1, 2, 4, ...
-    vertices, so a hit among the first masked vertices ends the search
-    after work proportional to those vertices' runs.
-    """
-    rows = np.flatnonzero(mask)
-    start, size = 0, 1
-    while start < rows.size:
-        hits = _induced_edges(g, mask, rows[start : start + size])
+    vertex mask, or None; a hit among the first masked vertices ends the
+    search after one block of ``_induced_runs``."""
+    for hits in _induced_runs(g, mask):
         if hits.size:
             i = int(hits[0])
             return (int(g.eu[i]), int(g.ev[i]))
-        start += size
-        size *= 2
     return None
 
 

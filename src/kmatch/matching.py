@@ -31,6 +31,7 @@ from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     edge,
     _ball,
     _bfs,
+    _blocks,
     _gather_neighbors,
     _induced_edge_from_mask,
     _induced_edges,
@@ -148,8 +149,9 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
       its ends (the Voronoi boundary-edge test of Mehlhorn, IPL 1988).
       The test reads owners only at distance <= k-2, so the BFS leaves its
       last level unlabelled.  Such an edge has an endpoint at distance
-      <= (k-2)//2, so only the neighbours of those vertices are scanned;
-      at k=1 there are none.
+      <= (k-2)//2, so only the neighbours of those vertices are scanned,
+      in ``_blocks``; at k=1 there are none.  Which neighbour one level
+      closer a vertex takes its owner from does not change the verdict.
     """
     k = m.k
     try:
@@ -179,9 +181,12 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     if not (edges and disjoint):
         return dist, False
     near = np.flatnonzero(dist <= (k - 2) // 2)
-    y, x = _gather_neighbors(g, near, near)
-    close = dist[x] + dist[y] <= k - 2
-    return dist, not np.any(owner[x[close]] != owner[y[close]])
+    for part in _blocks(near, g.lower_ptr, g.upper_ptr):
+        y, x = _gather_neighbors(g, part, part)
+        close = dist[x] + dist[y] <= k - 2
+        if np.any(owner[x[close]] != owner[y[close]]):
+            return dist, False
+    return dist, True
 
 
 def is_k_matching(g: Graph, m: KMatching) -> bool:
@@ -307,7 +312,7 @@ def generator_algorithm(g: Graph, k: int, seed: int, s: int) -> KMatching:
     if k < 2:
         raise ValueError("generator needs k >= 2")
     if s < 1:
-        raise ValueError("s_override must be >= 1")
+        raise ValueError(f"s must be >= 1, got {s}")
     if 2 * s > g.n:
         raise ValueError(f"need 2s={2 * s} <= n={g.n} distinct vertices")
     rng = np.random.default_rng(np.random.PCG64(seed))

@@ -420,6 +420,32 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["generator", "--n", "3000", "--d", "8", "--k", "2"],
+            ["experiment", "--n", "3000", "--d", "8", "--k", "2", "--trials", "2",
+             "--algorithm", "generator"],
+            ["theorem51", "--n", "3000", "--d", "8", "--k", "2", "--samples", "1"],
+            ["layers", "--n", "3000", "--d", "5", "--k", "3", "--samples", "1"],
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_pair_count_below_one_names_the_flag(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv, "--seed", "3", "--s", value)
+        assert code == 1
+        assert out == ""
+        message = f"kmatch {argv[0]}: error: argument --s: must be >= 1, got {value}\n"
+        assert err.endswith(message)
+
+    def test_pair_count_must_be_an_integer(self, capsys):
+        code, _, err = run(
+            capsys, "generator", "--n", "300", "--d", "8", "--k", "2", "--seed", "3",
+            "--s", "2.5",
+        )
+        assert code == 1
+        assert err.endswith("error: argument --s: invalid int value: '2.5'\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["experiment", "--n", "100", "--d", "2", "--k", "2", "--trials", "1",
              "--algorithm", "greedy"],
             ["theorem51", "--n", "2000", "--d", "10", "--k", "2", "--samples", "1"],

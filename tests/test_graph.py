@@ -15,6 +15,9 @@ from kmatch.graph import (
     UNREACHABLE,
     GnpParams,
     _ball,
+    _bfs,
+    _blocks,
+    _distinct,
     _induced_edge_from_mask,
     _induced_edges,
     _ints,
@@ -152,9 +155,11 @@ class TestSampling:
         margin = 3 * math.sqrt(max(bound * (1 - bound), 1e-12) / samples)
         assert bad / samples <= bound + margin
 
-    def test_peak_memory_at_most_three_graphs(self):
+    def test_peak_memory_at_most_one_and_a_half_graphs(self):
         # the decode holds no array of all pair indices and the build no
-        # 2m-long symmetric COO; holding both costs about 3.9x the graph
+        # 2m-long symmetric COO; holding both costs about 3.9x the graph.
+        # Batches of _BATCH_CAP pairs leave the build's own arrays as the
+        # peak, 1.04-1.26x the graph here (2.5x with batches of 2^22)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -164,7 +169,7 @@ class TestSampling:
             tracemalloc.stop()
         arrays = [getattr(g, f.name) for f in dataclasses.fields(g)]
         nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-        assert peak <= 3 * nbytes
+        assert peak <= 1.5 * nbytes
 
 
 def assert_same_arrays(got, want):
@@ -192,6 +197,19 @@ class TestSamplerAgainstReference:
         # many CSR rows straddle two batches
         monkeypatch.setattr(km.graph, "_BATCH_CAP", 2048)
         monkeypatch.setattr(gnp_reference, "_BATCH_CAP", 2048)
+        got = symmetric_csr(km.sample_gnp(GnpParams(n, p, seed)))
+        assert_same_arrays(got, reference_sample_gnp(n, p, seed))
+
+    @pytest.mark.parametrize("cap", [2**10, 2**16, 2**22])
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(0, 0.5, 1), (1, 0.5, 1), (90, 1.0, 3), (2000, 1e-19, 3), (3000, 0.004, 2)]
+        + [(5000, 0.02, 11), (20000, 0.005, 12)],
+    )
+    def test_batch_size_does_not_change_the_graph(self, monkeypatch, cap, n, p, seed):
+        # every uniform takes one 64-bit output, so where the batches split
+        # cannot move the walk; the reference keeps its own 2^22 batches
+        monkeypatch.setattr(km.graph, "_BATCH_CAP", cap)
         got = symmetric_csr(km.sample_gnp(GnpParams(n, p, seed)))
         assert_same_arrays(got, reference_sample_gnp(n, p, seed))
 
@@ -363,9 +381,10 @@ class TestInducedEdge:
         g = km.from_edges(5, [(0, 3), (1, 2), (1, 4), (2, 4)])
         assert _induced_edge_from_mask(g, np.isin(range(5), [1, 2, 4])) == (1, 2)
 
-    def test_hit_past_the_first_blocks(self):
-        # the masked vertices are read in blocks of 1, 2, 4, ...: the only
-        # induced edge (40, 41) lies in the fifth block of 16 vertices
+    def test_hit_past_the_first_blocks(self, monkeypatch):
+        # the only induced edge (40, 41) comes after 20 masked vertices
+        # without one; with blocks of one run entry it is in the 21st block
+        monkeypatch.setattr(km.graph, "_BATCH_CAP", 1)
         g = km.from_edges(50, [(2 * i, 2 * i + 1) for i in range(25)] + [(0, 49)])
         mask = np.zeros(50, dtype=bool)
         mask[0::2] = True
@@ -426,6 +445,96 @@ class TestInducedEdgesAgainstScan:
         self.check(g, np.ones(g.n, dtype=bool))
         for _ in range(30):
             self.check(g, rng.random(g.n) < rng.random())
+
+
+@given(
+    st.sampled_from([np.int32, np.int64]),
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**31), 2**31 - 1)), max_size=200),
+)
+@settings(max_examples=200, deadline=None)
+def test_distinct_matches_unique(dtype, values):
+    a = np.array(values, dtype=dtype)
+    got, want = _distinct(a), np.unique(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_blocks_cut_greedily_at_the_cap(seed, cap):
+    # consecutive slices covering verts; each holds at most cap run
+    # entries, or is one vertex, and stops only where the next vertex
+    # would carry it past cap
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    g = km.sample_gnp(GnpParams(n, float(rng.uniform(0.0, 0.5)), seed))
+    verts = rng.choice(n, size=int(rng.integers(0, 2 * n)))
+    for ptrs in [(g.upper_ptr,), (g.lower_ptr, g.upper_ptr)]:
+        sizes = sum(ptr[verts + 1] - ptr[verts] for ptr in ptrs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(km.graph, "_BATCH_CAP", cap)
+            slices = list(_blocks(verts, *ptrs))
+        assert np.array_equal(np.concatenate([verts[:0], *slices]), verts)
+        start = 0
+        for part in slices:
+            stop = start + part.size
+            held = int(sizes[start:stop].sum())
+            assert part.size >= 1
+            assert held <= cap or part.size == 1
+            assert stop == verts.size or held + int(sizes[stop]) > cap
+            start = stop
+
+
+@pytest.mark.parametrize("cap", [1, 3, 64])
+class TestBlockedKernels:
+    """The BFS levels and the induced-edge gather read their vertices in
+    ``_blocks`` of ``_BATCH_CAP`` adjacency entries.  With the block size
+    patched down to 1, 3 and 64 entries a level spans many blocks, and the
+    answers must not move."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_distances_against_networkx(self, cap, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        g = km.sample_gnp(GnpParams(n, float(rng.uniform(0.0, 0.3)), seed))
+        sources = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+        k = int(rng.integers(1, 7))
+        owner = np.full(n, -1, dtype=np.int32)
+        owner[sources] = np.arange(sources.size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(km.graph, "_BATCH_CAP", cap)
+            dist = distance_to_set(g, sources, k)
+            labelled = _bfs(g, sources, k, owner)
+        nxg = nx_graph(g)
+        for v in range(n):
+            assert dist[v] == min(nx_set_distance(nxg, sources, v), k)
+        assert np.array_equal(labelled, dist)
+        # a vertex at distance 1..k-2 carries the label of a neighbour one
+        # level closer; the last level and beyond stay unlabelled
+        for v in np.flatnonzero((dist >= 1) & (dist <= k - 2)).tolist():
+            nb = g.neighbors(v)
+            assert np.any((dist[nb] == dist[v] - 1) & (owner[nb] == owner[v]))
+        assert np.all(owner[dist >= max(k - 1, 1)] == -1)
+
+    @given(
+        st.integers(0, 60),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_induced_edges_against_scan(self, cap, n, p, density, seed):
+        g = km.sample_gnp(GnpParams(n, p, seed))
+        mask = np.random.default_rng(seed).random(n) < density
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(km.graph, "_BATCH_CAP", cap)
+            got = _induced_edges(g, mask)
+            first = _induced_edge_from_mask(g, mask)
+        want = reference_induced_edges(g, mask)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert first == reference_induced_edge(g, mask)
 
 
 def test_bounded_ball_radius_zero_and_growth():

@@ -269,6 +269,21 @@ class TestIsKMatching:
         assert valid
         assert peak <= 8 * g.edge_count, peak / g.edge_count
 
+    def test_k3_validation_holds_one_block_above_the_graph(self):
+        # the BFS and the boundary scan gather _BATCH_CAP adjacency entries
+        # at a time, so the pass holds O(n) arrays plus one block: 2.6 MB
+        # here, where gathering each level whole peaked at 11.4 MB
+        g = km.sample_gnp(GnpParams(10**5, 5e-4, 5))
+        m = km.greedy_k_matching(g, 3, 1)
+        tracemalloc.start()
+        try:
+            _, valid = _matched_distance(g, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert valid
+        assert peak <= 12 * g.n + 48 * km.graph._BATCH_CAP, peak
+
     def test_matches_pairwise_edge_distance(self):
         # definition check: pairwise edge distance >= k+1, i.e. min
         # endpoint distance >= k, with distances from networkx
@@ -489,7 +504,7 @@ class TestGenerator:
         g = km.complete_graph(4)
         with pytest.raises(ValueError, match=r"^generator needs k >= 2$"):
             km.generator_algorithm(g, 1, 0, 1)
-        with pytest.raises(ValueError, match=r"^s_override must be >= 1$"):
+        with pytest.raises(ValueError, match=r"^s must be >= 1, got 0$"):
             km.generator_algorithm(g, 2, 0, 0)
 
 
@@ -674,6 +689,19 @@ class TestValidatorsAgainstReference:
         else:
             with pytest.raises(InvalidMatchingError):
                 km.gamma_independence_check(g, m)
+
+    @pytest.mark.parametrize("cap", [1, 3, 64])
+    @given(case=graph_and_members())
+    @settings(max_examples=150, deadline=None)
+    def test_is_k_matching_in_small_blocks(self, cap, case):
+        # the BFS and the boundary scan read their vertices in blocks of
+        # _BATCH_CAP adjacency entries; patched down, every level and the
+        # scan span many blocks, and an owner label comes from the first
+        # block that reaches its vertex
+        g, m = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(km.graph, "_BATCH_CAP", cap)
+            assert km.is_k_matching(g, m) == reference_is_k_matching(g, m)
 
     def test_endpoint_distance_k_minus_one_and_k(self):
         # on a path, (0,1) and (j,j+1) have endpoint distance j-1
