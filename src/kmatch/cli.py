@@ -150,14 +150,12 @@ def _cmd_exact(args) -> int:
 
 
 def _print_matching(m: matching.KMatching, out: Optional[str]) -> None:
-    text = m.to_text()
     if out:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-        print(f"size {m.size}")
-    else:
-        print(f"size {m.size}")
-        sys.stdout.write(text)
+            fh.write(m.to_text())
+    print(f"size {m.size}")
+    if not out:
+        sys.stdout.write(m.to_text())
 
 
 def _cmd_bounds(args) -> int:

@@ -113,8 +113,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) tuples in ascending lexicographic order."""
-        for u, v in zip(self.eu.tolist(), self.ev.tolist()):
-            yield (u, v)
+        return zip(self.eu.tolist(), self.ev.tolist())
 
     def mean_degree(self) -> float:
         return 2.0 * self.edge_count / self.n if self.n else 0.0
@@ -165,15 +164,10 @@ def _from_upper_rows(n: int, counts: np.ndarray, ev: np.ndarray) -> Graph:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph from an edge collection; normalizes, sorts, and validates."""
-    pairs = [edge(u, v) for u, v in edges]
-    pairs.sort()
+    pairs = sorted(edge(u, v) for u, v in edges)
     m = len(pairs)
-    if m:
-        eu = np.fromiter((p[0] for p in pairs), dtype=np.int32, count=m)
-        ev = np.fromiter((p[1] for p in pairs), dtype=np.int32, count=m)
-    else:
-        eu = np.empty(0, dtype=np.int32)
-        ev = np.empty(0, dtype=np.int32)
+    eu = np.fromiter((p[0] for p in pairs), dtype=np.int32, count=m)
+    ev = np.fromiter((p[1] for p in pairs), dtype=np.int32, count=m)
     if m and (int(eu.min()) < 0 or int(ev.max()) >= n):
         raise ValueError("edge endpoint out of range")
     for i in range(1, m):

@@ -2,7 +2,8 @@
 edges have minimum endpoint-to-endpoint distance >= k (equivalently edge
 distance >= k+1).  k=1 gives ordinary matchings, k=2 induced matchings.
 
-Three constructions live here:
+Three constructions live here, each returning a ``KMatching`` (k plus two
+sorted int32 endpoint arrays) built from the edge ids or arrays it holds:
 
 * ``greedy_k_matching`` -- random-order greedy: keep seeded uniform picks
   among the edges compatible with everything kept so far (uniform draws
@@ -32,6 +33,7 @@ from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     _ball,
     _bfs,
     _blocks,
+    _freeze,
     _gather_neighbors,
     _induced_edge_from_mask,
     _induced_edges,
@@ -71,32 +73,48 @@ class InstanceTooLargeError(ValueError):
     """Guard against runaway exact search."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KMatching:
-    """A distance parameter k >= 1 plus a set of normalized edges."""
+    """k >= 1 plus members ``(u[i], v[i])`` as read-only int32 arrays, put in
+    ascending lexicographic order by the one ``np.lexsort`` here but kept as
+    given otherwise (reversed pairs, loops, repeats) for the validators to
+    reject; an id beyond int32 raises ValueError.  ``of`` normalizes them."""
 
     k: int
-    edges: frozenset
+    u: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        uv = np.asarray([self.u, self.v])
+        if uv.size and not -(2**31) <= uv.min() <= uv.max() < 2**31:
+            raise ValueError("a vertex id does not fit in int32")
+        uv = _freeze(uv[:, np.lexsort(uv[::-1])].astype(np.int32, copy=False))
+        object.__setattr__(self, "u", uv[0])
+        object.__setattr__(self, "v", uv[1])
 
     @classmethod
     def of(cls, k: int, pairs: Iterable[tuple[int, int]]) -> "KMatching":
-        return cls(k, frozenset(edge(u, v) for u, v in pairs))
+        members = {edge(u, v) for u, v in pairs}
+        return cls(k, [u for u, _ in members], [v for _, v in members])
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return self.u.size
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(zip(self.u.tolist(), self.v.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KMatching):
+            return NotImplemented
+        same = np.array_equal(self.u, other.u) and np.array_equal(self.v, other.v)
+        return self.k == other.k and same
 
     def to_text(self) -> str:
-        lines = [f"{self.k} {self.size}"]
-        lines.extend(f"{u} {v}" for u, v in self.sorted_edges())
-        return "\n".join(lines) + "\n"
+        body = "".join(f"{u} {v}\n" for u, v in self.sorted_edges())
+        return f"{self.k} {self.size}\n{body}"
 
     @classmethod
     def from_text(cls, text: str) -> "KMatching":
@@ -117,6 +135,8 @@ class KMatching:
             u, v = _ints(parts, i + 1)
             if u >= v:
                 raise ValueError(f"edge {u} {v} is not normalized at line {i + 1}")
+            if u < -(2**31) or v >= 2**31:
+                raise ValueError(f"edge {u} {v} does not fit in int32 at line {i + 1}")
             if (u, v) in pairs:
                 raise ValueError(f"repeated edge {u} {v} at line {i + 1}")
             pairs.add((u, v))
@@ -153,15 +173,9 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
       in ``_blocks``; at k=1 there are none.  Which neighbour one level
       closer a vertex takes its owner from does not change the verdict.
     """
-    k = m.k
-    try:
-        pairs = np.array(list(m.edges), dtype=np.int64).reshape(-1, 2)
-        in_range = np.all((0 <= pairs) & (pairs < g.n))
-    except OverflowError:  # a member beyond any vertex id
-        in_range = False
-    if not in_range:
+    k, mu, mv = m.k, m.u, m.v
+    if not np.all((0 <= mu) & (mu < g.n) & (0 <= mv) & (mv < g.n)):
         raise InvalidMatchingError("a member is not a pair of vertices of this graph")
-    mu, mv = pairs[:, 0], pairs[:, 1]
     # lower-bound bisection of every member's sorted upper row at once; a
     # closed search can sit at ev.size, hence the clamped read
     lo, end = g.upper_ptr[mu], g.upper_ptr[mu + 1]
@@ -248,24 +262,24 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
         raise ValueError("k must be >= 1")
     m = g.edge_count
     if m == 0:
-        return KMatching(k, frozenset())
+        return KMatching(k, [], [])
     rng = np.random.default_rng(np.random.PCG64(seed))
     chunk = min(_SCAN_CHUNK, m)
     blocked = np.zeros(g.n, dtype=bool)
-    chosen: list[tuple[int, int]] = []
+    kept: list[np.ndarray] = []
 
     def scan(idx: np.ndarray) -> int:
         """Keep the available edges of idx in order; returns how many of
         idx were available at the start."""
-        cu = g.eu[idx]
-        cv = g.ev[idx]
-        live = ~(blocked[cu] | blocked[cv])
-        for u, v in zip(cu[live].tolist(), cv[live].tolist()):
+        idx = idx[~(blocked[g.eu[idx]] | blocked[g.ev[idx]])]
+        keep = []
+        for j, (u, v) in enumerate(zip(g.eu[idx].tolist(), g.ev[idx].tolist())):
             if blocked[u] or blocked[v]:
                 continue
-            chosen.append((u, v))
+            keep.append(j)
             blocked[_ball(g, (u, v), k - 1)] = True
-        return int(np.count_nonzero(live))
+        kept.append(idx[keep])
+        return idx.size
 
     while 2 * scan(rng.integers(m, size=chunk)) > chunk:
         pass
@@ -276,7 +290,8 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
         rest = rest[chunk:]
         if rest.size > chunk:
             rest = rest[~(blocked[g.eu[rest]] | blocked[g.ev[rest]])]
-    return KMatching(k, frozenset(chosen))
+    ids = np.concatenate(kept)
+    return KMatching(k, g.eu[ids], g.ev[ids])
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +373,9 @@ def generator_algorithm(g: Graph, k: int, seed: int, s: int) -> KMatching:
                 iterations,
                 int(np.count_nonzero(cover == 0)),
             )
-        pu[i] = int(g.eu[picked])
-        pv[i] = int(g.ev[picked])
+        pu[i], pv[i] = g.eu[picked], g.ev[picked]
         shift(i, 1)
-    return KMatching(k, frozenset(zip(pu.tolist(), pv.tolist())))
+    return KMatching(k, pu, pv)
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +396,19 @@ def exact_um_k(
         raise InstanceTooLargeError(
             f"{m} edges exceeds the exact-search cap {edge_cap}"
         )
-    if m == 0:
-        return 0, KMatching(k, frozenset())
-    members = list(zip(g.eu.tolist(), g.ev.tolist()))
+    # j fits with i iff i's ball misses j's endpoints: symmetric, never j = i
+    members = list(g.edges())
     balls = [frozenset(bounded_ball(g, e, k - 1)) for e in members]
-    compat = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            u, v = members[j]
-            if u not in balls[i] and v not in balls[i]:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    best_size = 0
-    best_set = 0
+    compat = [
+        sum(1 << j for j, (u, v) in enumerate(members) if u not in b and v not in b)
+        for b in balls
+    ]
+    best_size = best_set = 0
 
     def grow(cand: int, chosen: int, size: int) -> None:
         nonlocal best_size, best_set
         if size > best_size:
-            best_size = size
-            best_set = chosen
+            best_size, best_set = size, chosen
         while cand:
             if size + cand.bit_count() <= best_size:
                 return
@@ -410,5 +418,5 @@ def exact_um_k(
             grow(cand & compat[i], chosen | low, size + 1)
 
     grow((1 << m) - 1, 0, 0)
-    witness = [members[i] for i in range(m) if best_set >> i & 1]
-    return best_size, KMatching(k, frozenset(witness))
+    witness = [i for i in range(m) if best_set >> i & 1]
+    return best_size, KMatching(k, g.eu[witness], g.ev[witness])

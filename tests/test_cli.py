@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -462,3 +463,45 @@ class TestUsage:
         assert code == 0
         assert "--k" in out and "endpoint distance" in out
         assert "--seed" in out and "reproducible" in out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    # sha256 prefixes of the --out files as written when a matching was a
+    # frozenset of tuples; the matching text, CSV and JSON bytes must not
+    # move with the matching's storage
+    [
+        (["greedy", "--n", "2000", "--d", "8", "--k", "1", "--seed", "3"],
+         "1378e81f8df890bc"),
+        (["greedy", "--n", "2000", "--d", "8", "--k", "2", "--seed", "3"],
+         "018973a0f7fbf8a0"),
+        (["greedy", "--n", "2000", "--d", "8", "--k", "3", "--seed", "3"],
+         "5779c853c689e563"),
+        (["generator", "--n", "3000", "--d", "16", "--k", "2", "--seed", "3"],
+         "3b00a9eb98def4c7"),
+        (["generator", "--n", "4000", "--d", "5", "--k", "3", "--seed", "3",
+          "--s", "40"],
+         "9cde182a33d2df1f"),
+        (["exact", "--n", "12", "--p", "0.25", "--k", "1", "--seed", "2"],
+         "3493a7b02a1a6162"),
+        (["experiment", "--n", "2000", "--d", "8", "--k", "2", "--trials", "2",
+          "--seed", "5", "--algorithm", "greedy"],
+         "269686338fb72803"),
+        (["experiment", "--n", "2000", "--d", "8", "--k", "1", "--trials", "2",
+          "--seed", "5", "--algorithm", "greedy", "--format", "json"],
+         "5aef4fdbe0c8588c"),
+        (["experiment", "--n", "3000", "--d", "16", "--k", "2", "--trials", "2",
+          "--seed", "5", "--algorithm", "generator"],
+         "3e41e41e5badc288"),
+    ],
+    ids=[
+        "greedy-k1", "greedy-k2", "greedy-k3", "generator-k2", "generator-k3",
+        "exact", "experiment-greedy-csv", "experiment-greedy-json",
+        "experiment-generator-csv",
+    ],
+)
+def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "out"
+    code, _, _ = run(capsys, "--threads", "1", *argv, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
