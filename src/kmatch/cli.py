@@ -89,18 +89,13 @@ def _resolve_graph(args: argparse.Namespace):
         raise ValueError("one of --input or --n is required")
     if args.seed is None:
         raise ValueError("--seed is required when sampling a graph")
-    p = _resolve_p(args)
-    return sample_gnp(GnpParams(args.n, p, args.seed))
-
-
-def _resolve_p(args: argparse.Namespace) -> float:
     if args.p is not None:
-        return args.p
-    if args.d is not None:
-        if not args.n:
-            return 0.0
-        return args.d / args.n
-    raise ValueError("one of --d or --p is required")
+        p = args.p
+    elif args.d is not None:
+        p = args.d / args.n if args.n else 0.0
+    else:
+        raise ValueError("one of --d or --p is required")
+    return sample_gnp(GnpParams(args.n, p, args.seed))
 
 
 def _params_from_args(args: argparse.Namespace) -> analytic.AsymptoticParams:
@@ -111,10 +106,7 @@ def _params_from_args(args: argparse.Namespace) -> analytic.AsymptoticParams:
 
 def _cmd_gen(args) -> int:
     g = _resolve_graph(args)
-    if args.out:
-        write_edge_list(g, args.out)
-    else:
-        write_edge_list(g, sys.stdout)
+    write_edge_list(g, args.out or sys.stdout)
     print(f"sampled n={g.n} m={g.edge_count}", file=sys.stderr)
     return 0
 
@@ -215,45 +207,28 @@ def _parse_edge(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _trial_config(args, algorithm: str) -> experiments.TrialConfig:
-    return experiments.TrialConfig(
+def _cmd_trials(args) -> int:
+    """experiment, theorem51 and layers: seeded trials at one (n, d, k)."""
+    cfg = experiments.TrialConfig(
         n=args.n,
         k=args.k,
-        trials=getattr(args, "trials", getattr(args, "samples", 1)),
+        trials=args.trials,
         base_seed=args.seed,
-        algorithm=algorithm,
+        algorithm=args.algorithm,
         d=args.d,
         p=args.p,
-        measure_runtime=getattr(args, "measure_runtime", False),
-        s_override=getattr(args, "s", None),
+        measure_runtime=args.measure_runtime,
+        s_override=args.s,
     )
-
-
-def _cmd_experiment(args) -> int:
-    cfg = _trial_config(args, args.algorithm)
-    records, summary = experiments.run_trials(cfg, workers=args.threads)
-    text = experiments.emit(records, summary, args.format, args.out, cfg)
-    if not args.out:
-        sys.stdout.write(text)
-    print(
-        f"trials={summary.trials} success_rate={summary.success_rate!r} "
-        f"mean_size={summary.mean_size!r}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_sampled_sets(args) -> int:
-    """theorem51 and layers: statistics of random 2s-sets."""
-    verify = {
+    # built per call, so a rebound experiments attribute (bench/run.py wraps
+    # them by name) is the one that runs
+    run = {
+        "experiment": experiments.run_trials,
         "theorem51": experiments.verify_theorem_5_1,
         "layers": experiments.verify_layer_growth,
     }[args.command]
-    cfg = _trial_config(args, "generator")
-    records, summary = verify(cfg, workers=args.threads)
-    text = experiments.emit(records, summary, args.format, args.out, cfg)
-    if not args.out:
-        sys.stdout.write(text)
+    records, summary = run(cfg, workers=args.threads)
+    experiments.emit(records, summary, args.format, args.out or sys.stdout, cfg)
     print(json.dumps(asdict(summary)), file=sys.stderr)
     return 0
 
@@ -336,33 +311,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge", dest="edges", action="append", help="u,v (repeatable)")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("experiment", help="seeded Monte Carlo trials")
-    _add_scale(p)
-    p.add_argument("--trials", type=_count, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--algorithm", required=True, choices=list(experiments.ALGORITHMS))
-    p.add_argument("--s", type=_pairs, help="generator size override")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument(
-        "--measure-runtime",
-        action="store_true",
-        help="record wall-clock times (breaks byte-identical reruns)",
-    )
-    p.set_defaults(func=_cmd_experiment)
-
-    for name, text in (
-        ("theorem51", "measure far-set size and induced-edge frequency for random 2s-sets"),
-        ("layers", "measure |{v : d(v,S)=i}| / (2 s d^i) growth for random 2s-sets"),
+    for name, count_flag, text in (
+        ("experiment", "--trials", "seeded Monte Carlo trials"),
+        ("theorem51", "--samples",
+         "measure far-set size and induced-edge frequency for random 2s-sets"),
+        ("layers", "--samples",
+         "measure |{v : d(v,S)=i}| / (2 s d^i) growth for random 2s-sets"),
     ):
         p = sub.add_parser(name, help=text)
         _add_scale(p)
-        p.add_argument("--samples", type=_count, required=True)
+        p.add_argument(
+            count_flag, dest="trials", metavar=count_flag[2:].upper(),
+            type=_count, required=True,
+        )
         p.add_argument("--seed", type=int, required=True)
+        if name == "experiment":
+            p.add_argument(
+                "--algorithm", required=True, choices=list(experiments.ALGORITHMS)
+            )
         p.add_argument("--s", type=_pairs, help="pair-count override")
         p.add_argument("--format", default="csv", choices=["csv", "json"])
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_sampled_sets)
+        p.add_argument("--out", help="output path (default: stdout)")
+        if name == "experiment":
+            p.add_argument(
+                "--measure-runtime",
+                action="store_true",
+                help="record wall-clock times (breaks byte-identical reruns)",
+            )
+        else:
+            p.set_defaults(algorithm="generator", measure_runtime=False)
+        p.set_defaults(func=_cmd_trials)
 
     return parser
 

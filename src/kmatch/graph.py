@@ -458,18 +458,20 @@ def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
 def _induced_runs(g: Graph, mask: np.ndarray) -> Iterator[np.ndarray]:
     """Ascending ids of the edges with both endpoints in the boolean vertex
     mask, one run per block of the masked vertices' upper rows, read in
-    ascending ``_blocks``: O(n + their larger-neighbour counts), not O(m)."""
+    ascending ``_blocks``: O(n + their larger-neighbour counts), not O(m).
+    The ids are int32 while every edge id fits, else int64."""
+    dtype = np.int32 if g.edge_count < 2**31 else np.int64
     rows = np.flatnonzero(mask)
     for part in _blocks(rows, g.upper_ptr):
         ids = _runs(g.upper_ptr[part], g.upper_ptr[part + 1])[0]
         # np.compress: boolean indexing took twice as long on dense masks
-        yield np.compress(mask[g.ev[ids]], ids)
+        yield np.compress(mask[g.ev[ids]], ids).astype(dtype, copy=False)
 
 
 def _induced_edges(g: Graph, mask: np.ndarray) -> np.ndarray:
     """Ascending ids of the edges with both endpoints in the boolean vertex
-    mask (see ``_induced_runs``)."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *_induced_runs(g, mask)])
+    mask (see ``_induced_runs``), at a peak of 8 bytes per edge as int32."""
+    return np.concatenate([np.empty(0, dtype=np.int32), *_induced_runs(g, mask)])
 
 
 def _induced_edge_from_mask(g: Graph, mask: np.ndarray) -> Optional[tuple[int, int]]:

@@ -68,16 +68,7 @@ class MaskGraph:
     def __init__(self, n: int, mask: int):
         self.n = n
         self.mask = mask
-        adj = [0] * n
-        slots = pair_slots(n)
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u, v = slots[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.adj = adj
+        self.adj = _mask_tables(n)[0][:, mask].tolist()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -141,12 +132,11 @@ def exact_event_probability(
     arithmetic is exact rational.
     """
     _check_n(n, p)
-    slots = len(pair_slots(n))
-    counts = [0] * (slots + 1)
-    for mask in range(1 << slots):
-        if predicate(MaskGraph(n, mask)):
-            counts[mask.bit_count()] += 1
-    return _evaluate(counts, p, exact)
+    masks = range(1 << len(pair_slots(n)))
+    event = np.fromiter(
+        (bool(predicate(MaskGraph(n, mask))) for mask in masks), bool, len(masks)
+    )
+    return _evaluate(_histogram(n, event), p, exact)
 
 
 def exact_prob_distance_ge_k(

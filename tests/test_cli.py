@@ -1,9 +1,11 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
 import kmatch as km
+from kmatch import experiments
 from kmatch.analytic import default_pair_count
 from kmatch.cli import main
 
@@ -493,11 +495,24 @@ class TestUsage:
         (["experiment", "--n", "3000", "--d", "16", "--k", "2", "--trials", "2",
           "--seed", "5", "--algorithm", "generator"],
          "3e41e41e5badc288"),
+        (["theorem51", "--n", "3000", "--d", "16", "--k", "2", "--samples", "2",
+          "--seed", "5"],
+         "b4905905d06e1220"),
+        (["theorem51", "--n", "3000", "--d", "16", "--k", "2", "--samples", "2",
+          "--seed", "5", "--format", "json"],
+         "eac006c567a148c9"),
+        (["layers", "--n", "3000", "--d", "5", "--k", "3", "--samples", "2",
+          "--seed", "5"],
+         "824c033061d1d40e"),
+        (["layers", "--n", "3000", "--d", "5", "--k", "3", "--samples", "2",
+          "--seed", "5", "--format", "json"],
+         "bc136e15dc508d89"),
     ],
     ids=[
         "greedy-k1", "greedy-k2", "greedy-k3", "generator-k2", "generator-k3",
         "exact", "experiment-greedy-csv", "experiment-greedy-json",
-        "experiment-generator-csv",
+        "experiment-generator-csv", "theorem51-csv", "theorem51-json",
+        "layers-csv", "layers-json",
     ],
 )
 def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
@@ -505,3 +520,29 @@ def test_output_bytes_pinned(capsys, tmp_path, argv, digest):
     code, _, _ = run(capsys, "--threads", "1", *argv, "--out", str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "argv, cfg, verify",
+    [
+        (["experiment", "--trials", "2", "--algorithm", "greedy", "--n", "2000",
+          "--d", "8", "--k", "2"],
+         experiments.TrialConfig(2000, 2, 2, 5, "greedy", d=8.0),
+         experiments.run_trials),
+        (["theorem51", "--samples", "2", "--n", "3000", "--d", "16", "--k", "2"],
+         experiments.TrialConfig(3000, 2, 2, 5, "generator", d=16.0),
+         experiments.verify_theorem_5_1),
+        (["layers", "--samples", "2", "--n", "3000", "--d", "5", "--k", "3"],
+         experiments.TrialConfig(3000, 3, 2, 5, "generator", d=5.0),
+         experiments.verify_layer_growth),
+    ],
+    ids=["experiment", "theorem51", "layers"],
+)
+def test_trial_commands_print_the_summary_json(capsys, tmp_path, argv, cfg, verify):
+    code, out, err = run(
+        capsys, "--threads", "1", *argv, "--seed", "5", "--out", str(tmp_path / "o")
+    )
+    assert code == 0
+    assert out == ""
+    _, summary = verify(cfg, workers=1)
+    assert err == json.dumps(asdict(summary)) + "\n"

@@ -418,7 +418,7 @@ class TestInducedEdgesAgainstScan:
     def check(self, g, mask):
         got = _induced_edges(g, mask)
         want = reference_induced_edges(g, mask)
-        assert got.dtype == want.dtype
+        assert got.dtype == np.int32
         assert np.array_equal(got, want)
         assert _induced_edge_from_mask(g, mask) == reference_induced_edge(g, mask)
 
@@ -445,6 +445,21 @@ class TestInducedEdgesAgainstScan:
         self.check(g, np.ones(g.n, dtype=bool))
         for _ in range(30):
             self.check(g, rng.random(g.n) < rng.random())
+
+    def test_peak_is_8_bytes_per_hit(self):
+        # the int32 block runs and their concatenation: 4 + 4 bytes per
+        # induced edge, plus the vertex mask's row list and a few blocks
+        g = km.sample_gnp(GnpParams(10**5, 5e-4, 7))
+        mask = np.random.default_rng(1).random(g.n) < 0.6
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            hits = _induced_edges(g, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits.size > 5 * km.graph._BATCH_CAP
+        assert peak <= 8 * hits.size + 8 * g.n + 32 * km.graph._BATCH_CAP
 
 
 @given(
@@ -532,7 +547,7 @@ class TestBlockedKernels:
             got = _induced_edges(g, mask)
             first = _induced_edge_from_mask(g, mask)
         want = reference_induced_edges(g, mask)
-        assert got.dtype == want.dtype
+        assert got.dtype == np.int32
         assert np.array_equal(got, want)
         assert first == reference_induced_edge(g, mask)
 
