@@ -3,10 +3,13 @@ bounded-radius distance primitives.
 
 Vertices are the integers 0..n-1.  An edge is a normalized ``(u, v)`` tuple
 with ``u < v``, and edge ids number the edges in ascending lexicographic
-order.  Adjacency is stored as two sorted CSR halves over numpy arrays: the
-upper half lists each vertex's larger neighbours (``ev`` under
-``upper_ptr``, whose positions are the edge ids), the lower half its
-smaller ones (``lower`` under ``lower_ptr``).  Multi-source BFS gathers
+order.  Adjacency is stored as two sorted CSR halves over numpy arrays,
+8 bytes per edge and 16 per vertex: the upper half lists each vertex's
+larger neighbours (``ev`` under ``upper_ptr``, whose positions are the edge
+ids), the lower half its smaller ones (``lower`` under ``lower_ptr``).  An
+edge's smaller endpoint is its upper row, so no per-edge array holds it:
+``Graph.eu`` derives one on each access, and the library's own paths
+bisect ``upper_ptr`` for the edges they read.  Multi-source BFS gathers
 from both halves, and the edges induced by a vertex set are read from the
 set's own upper rows, so neither needs a whole-edge-set scan at n ~ 10^6.
 
@@ -77,24 +80,33 @@ class GnpParams:
 class Graph:
     """Simple undirected graph, frozen after construction.
 
-    ``eu``/``ev`` list the m normalized edges in ascending lexicographic
-    order.  The adjacency is kept as the two halves the sampler builds, each
-    sorted within a vertex: vertex u's larger neighbours are
+    The adjacency is kept as the two halves the sampler builds, each sorted
+    within a vertex: vertex u's larger neighbours are
     ``ev[upper_ptr[u]:upper_ptr[u+1]]``, whose positions are their edge ids,
     and its smaller neighbours are ``lower[lower_ptr[u]:lower_ptr[u+1]]``.
-    Instances are safe to share across threads.
+    So ``ev`` lists the larger endpoints of the m normalized edges in
+    ascending lexicographic order, and ``eu``, their smaller endpoints, is
+    derived from ``upper_ptr`` on each access.  Instances are safe to share
+    across threads.
     """
 
     n: int
-    upper_ptr: np.ndarray  # int64, length n+1; cumsum of bincount(eu)
+    upper_ptr: np.ndarray  # int64, length n+1; row u holds edge ids from upper_ptr[u]
     lower_ptr: np.ndarray  # int64, length n+1
     lower: np.ndarray  # int32, length m, sorted within each vertex
-    eu: np.ndarray  # int32, length m
     ev: np.ndarray  # int32, length m, sorted within each vertex's upper row
 
     @property
+    def eu(self) -> np.ndarray:
+        """The smaller endpoint of every edge, int32 and read-only: each
+        vertex repeated over its upper row, built anew (4 bytes per edge) on
+        every access."""
+        rows = np.arange(self.n, dtype=np.int32)
+        return _freeze(np.repeat(rows, np.diff(self.upper_ptr)))
+
+    @property
     def edge_count(self) -> int:
-        return int(self.eu.shape[0])
+        return int(self.ev.size)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v: its lower run, then its upper run."""
@@ -123,7 +135,7 @@ class Graph:
             return NotImplemented
         return (
             self.n == other.n
-            and np.array_equal(self.eu, other.eu)
+            and np.array_equal(self.upper_ptr, other.upper_ptr)
             and np.array_equal(self.ev, other.ev)
         )
 
@@ -157,9 +169,7 @@ def _from_upper_rows(n: int, counts: np.ndarray, ev: np.ndarray) -> Graph:
     ).tocsc()
     lower_ptr = lower.indptr.astype(np.int64)
     lower_idx = lower.indices.astype(np.int32, copy=False)
-    del lower
-    eu = np.repeat(np.arange(n, dtype=np.int32), counts)
-    return Graph(n, *map(_freeze, (upper_ptr, lower_ptr, lower_idx, eu, ev)))
+    return Graph(n, *map(_freeze, (upper_ptr, lower_ptr, lower_idx, ev)))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -197,6 +207,10 @@ def complete_graph(n: int) -> Graph:
 #: The sampler's batch size and the kernels' block size, in array entries:
 #: what one pass over int32 and int64 arrays keeps within a 2-4 MB L2.
 _BATCH_CAP = 1 << 16
+
+#: The sampler's edge buffer holds the binomial edge count's mean plus this
+#: many standard deviations; a draw outgrows it with probability < 1e-15.
+_SPARE_SD = 8
 
 
 def _pair_offsets(n: int) -> np.ndarray:
@@ -245,15 +259,23 @@ def sample_gnp(params: GnpParams) -> Graph:
     ``floor(log1p(-U)/log1p(-p)) + 1`` from uniforms U, each one 64-bit
     output of the stream, so the graph is a pure function of the seed
     whatever the batch size (``_BATCH_CAP`` at most).  Each batch is decoded
-    to int32 larger endpoints as it is drawn; no array of all the pair
-    indices is ever held.
+    to int32 larger endpoints straight into one buffer sized at the edge
+    count's mean plus ``_SPARE_SD`` standard deviations; no array of all the
+    pair indices is ever held.  A draw past the buffer grows it, and the
+    buffer is cut to the edges drawn at the end.  Both are ``realloc``, which
+    moves large blocks by remapping their pages, and pages never written
+    are never resident.
     """
-    n = params.n
+    n, p = params.n, params.p
     rng = np.random.default_rng(np.random.PCG64(params.seed))
     offs = _pair_offsets(n)
     counts = np.zeros(n, dtype=np.int64)
-    ev_runs = [np.empty(0, dtype=np.int32)]
-    for t in _pair_batches(n, params.p, rng):
+    total = n * (n - 1) // 2
+    mean = total * p
+    spare = _SPARE_SD * math.sqrt(mean * (1.0 - p))
+    ev = np.empty(min(total, max(0, math.ceil(mean + spare))), dtype=np.int32)
+    m = 0
+    for t in _pair_batches(n, p, rng):
         if t.size == 0:
             continue
         # the batch covers rows lo..hi-1, row u holding the pairs
@@ -262,10 +284,12 @@ def sample_gnp(params: GnpParams) -> Graph:
         hi = int(np.searchsorted(offs, t[-1], side="right"))
         run = np.diff(np.searchsorted(t, offs[lo : hi + 1]))
         counts[lo:hi] += run
+        if m + t.size > ev.size:
+            ev.resize(max(2 * ev.size, m + t.size), refcheck=False)
         shift = np.repeat(offs[lo:hi] - np.arange(lo, hi) - 1, run)
-        ev_runs.append((t - shift).astype(np.int32))
-    ev = np.concatenate(ev_runs)
-    del ev_runs  # freed before the build, which sets the peak
+        ev[m : m + t.size] = t - shift
+        m += t.size
+    ev.resize(m, refcheck=False)
     return _from_upper_rows(n, counts, ev)
 
 
@@ -455,6 +479,14 @@ def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
     return _bfs(g, src, cap)
 
 
+def _edge_rows(g: Graph, ids):
+    """The smaller endpoint of edge ``ids`` (an id or an id array): the row
+    of ``upper_ptr`` that holds it.  numpy starts each bisection of an
+    array where the last one ended, so ascending ids are cheap: 2-6 ms per
+    2^16 ids, against 26 ms in random order."""
+    return g.upper_ptr.searchsorted(ids, side="right") - 1
+
+
 def _induced_runs(g: Graph, mask: np.ndarray) -> Iterator[np.ndarray]:
     """Ascending ids of the edges with both endpoints in the boolean vertex
     mask, one run per block of the masked vertices' upper rows, read in
@@ -481,7 +513,7 @@ def _induced_edge_from_mask(g: Graph, mask: np.ndarray) -> Optional[tuple[int, i
     for hits in _induced_runs(g, mask):
         if hits.size:
             i = int(hits[0])
-            return (int(g.eu[i]), int(g.ev[i]))
+            return (int(_edge_rows(g, i)), int(g.ev[i]))
     return None
 
 

@@ -33,6 +33,7 @@ from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     _ball,
     _bfs,
     _blocks,
+    _edge_rows,
     _freeze,
     _gather_neighbors,
     _induced_edge_from_mask,
@@ -255,8 +256,11 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
     with replacement, min(2^16, m) at a time, skipping repeated and blocked
     draws, while more than half of a chunk's draws were available at its
     start; then it shuffles the edges still available and scans them in
-    that uniform order, compacting the rest to the available edges after
-    each chunk.  Each chunk is prefiltered by its endpoints' blocked flags.
+    that uniform order, compacting the rest after each chunk.  Each chunk
+    is prefiltered by its endpoints' blocked flags: the larger endpoint's
+    first, which is all the compaction reads, as the graph holds no smaller
+    endpoints; those are bisected from ``upper_ptr`` only for the ids that
+    pass.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -266,20 +270,28 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
     rng = np.random.default_rng(np.random.PCG64(seed))
     chunk = min(_SCAN_CHUNK, m)
     blocked = np.zeros(g.n, dtype=bool)
-    kept: list[np.ndarray] = []
+    kept_u: list[np.ndarray] = []
+    kept_v: list[np.ndarray] = []
 
     def scan(idx: np.ndarray) -> int:
         """Keep the available edges of idx in order; returns how many of
         idx were available at the start."""
-        idx = idx[~(blocked[g.eu[idx]] | blocked[g.ev[idx]])]
+        idx = idx[~blocked[g.ev[idx]]]
+        # the smaller endpoints, bisected in ascending id order
+        order = np.argsort(idx)
+        us = np.empty_like(idx)
+        us[order] = _edge_rows(g, idx[order])
+        live = ~blocked[us]
+        us, vs = us[live], g.ev[idx[live]]
         keep = []
-        for j, (u, v) in enumerate(zip(g.eu[idx].tolist(), g.ev[idx].tolist())):
+        for j, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
             if blocked[u] or blocked[v]:
                 continue
             keep.append(j)
             blocked[_ball(g, (u, v), k - 1)] = True
-        kept.append(idx[keep])
-        return idx.size
+        kept_u.append(us[keep])
+        kept_v.append(vs[keep])
+        return us.size
 
     while 2 * scan(rng.integers(m, size=chunk)) > chunk:
         pass
@@ -289,9 +301,8 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
         scan(rest[:chunk])
         rest = rest[chunk:]
         if rest.size > chunk:
-            rest = rest[~(blocked[g.eu[rest]] | blocked[g.ev[rest]])]
-    ids = np.concatenate(kept)
-    return KMatching(k, g.eu[ids], g.ev[ids])
+            rest = rest[~blocked[g.ev[rest]]]
+    return KMatching(k, np.concatenate(kept_u), np.concatenate(kept_v))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +371,8 @@ def generator_algorithm(g: Graph, k: int, seed: int, s: int) -> KMatching:
         if g.edge_count:
             for _ in range(_REJECTION_TRIES):
                 j = int(rng.integers(g.edge_count))
-                if cover[g.eu[j]] == 0 and cover[g.ev[j]] == 0:
+                # the row is bisected only when the larger end is far
+                if cover[g.ev[j]] == 0 and cover[_edge_rows(g, j)] == 0:
                     picked = j
                     break
             if picked is None:
@@ -373,7 +385,7 @@ def generator_algorithm(g: Graph, k: int, seed: int, s: int) -> KMatching:
                 iterations,
                 int(np.count_nonzero(cover == 0)),
             )
-        pu[i], pv[i] = g.eu[picked], g.ev[picked]
+        pu[i], pv[i] = _edge_rows(g, picked), g.ev[picked]
         shift(i, 1)
     return KMatching(k, pu, pv)
 
@@ -418,5 +430,5 @@ def exact_um_k(
             grow(cand & compat[i], chosen | low, size + 1)
 
     grow((1 << m) - 1, 0, 0)
-    witness = [i for i in range(m) if best_set >> i & 1]
-    return best_size, KMatching(k, g.eu[witness], g.ev[witness])
+    witness = [e for i, e in enumerate(members) if best_set >> i & 1]
+    return best_size, KMatching.of(k, witness)

@@ -2,7 +2,11 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -159,7 +163,7 @@ class TestSampling:
         # the decode holds no array of all pair indices and the build no
         # 2m-long symmetric COO; holding both costs about 3.9x the graph.
         # Batches of _BATCH_CAP pairs leave the build's own arrays as the
-        # peak, 1.04-1.26x the graph here (2.5x with batches of 2^22)
+        # peak, 1.29x the 8-bytes-per-edge graph here
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -170,6 +174,61 @@ class TestSampling:
         arrays = [getattr(g, f.name) for f in dataclasses.fields(g)]
         nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
         assert peak <= 1.5 * nbytes
+
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            km.sample_gnp(GnpParams(0, 0.5, 1)),
+            km.sample_gnp(GnpParams(40, 1.0, 2)),
+            km.sample_gnp(GnpParams(3000, 0.01, 123)),
+            km.from_edges(7, [(5, 2), (0, 3), (3, 6)]),
+        ],
+        ids=["empty", "complete", "gnp", "from_edges"],
+    )
+    def test_graph_holds_8_bytes_per_edge_and_16_per_vertex(self, g):
+        # ev and lower, and the two int64 row pointers; eu is derived
+        arrays = [getattr(g, f.name) for f in dataclasses.fields(g)]
+        nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        assert nbytes == 8 * g.edge_count + 16 * (g.n + 1)
+        eu = g.eu
+        assert eu.dtype == np.int32 and not eu.flags.writeable
+        assert np.array_equal(eu, np.repeat(np.arange(g.n), np.diff(g.upper_ptr)))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_sampling_raises_peak_rss_by_at_most_12_75_bytes_per_edge(self):
+        # VmHWM over sample_gnp at m ~ 5*10^6, in a fresh interpreter: the
+        # 8-byte-per-edge graph, plus the build's transposition.  Decoding
+        # the batches into a list of arrays and concatenating them took
+        # 13.9-14.1 bytes per edge (the batches stay in the heap); one
+        # buffer takes 11.6
+        src = str(Path(km.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", _SAMPLE_HWM],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        grown, m = map(int, proc.stdout.split())
+        assert m > 4_900_000
+        assert grown <= 12.75 * m, grown / m
+
+
+_SAMPLE_HWM = """
+import scipy.sparse  # the build imports it; loaded first, it is not counted
+from kmatch.graph import GnpParams, sample_gnp
+
+def hwm():
+    with open("/proc/self/status") as f:
+        return next(int(s.split()[1]) * 1024 for s in f if s.startswith("VmHWM:"))
+
+before = hwm()
+g = sample_gnp(GnpParams(200_000, 50 / 199_999, 1))
+print(hwm() - before, g.edge_count)
+"""
 
 
 def assert_same_arrays(got, want):
@@ -212,6 +271,20 @@ class TestSamplerAgainstReference:
         monkeypatch.setattr(km.graph, "_BATCH_CAP", cap)
         got = symmetric_csr(km.sample_gnp(GnpParams(n, p, seed)))
         assert_same_arrays(got, reference_sample_gnp(n, p, seed))
+
+    @pytest.mark.parametrize("spare_sd", [-3, -(10**9)])
+    @pytest.mark.parametrize(
+        "n, p, seed", [(2, 0.5, 2), (300, 0.1, 1), (3000, 0.004, 2), (20000, 0.005, 12)]
+    )
+    def test_outgrown_edge_buffer(self, monkeypatch, spare_sd, n, p, seed):
+        # the buffer sized at the mean minus 3 sd, or at 0, outgrows its
+        # size once or several times, in 2^10-pair batches
+        monkeypatch.setattr(km.graph, "_SPARE_SD", spare_sd)
+        monkeypatch.setattr(km.graph, "_BATCH_CAP", 2**10)
+        g = km.sample_gnp(GnpParams(n, p, seed))
+        mean = n * (n - 1) / 2 * p
+        assert g.edge_count > max(0, mean + spare_sd * math.sqrt(mean * (1 - p)))
+        assert_same_arrays(symmetric_csr(g), reference_sample_gnp(n, p, seed))
 
     @given(
         n=st.integers(0, 40),

@@ -60,6 +60,7 @@ def reference_generator_algorithm(g, k, seed, s):
     # (the draw is without replacement, insertions come from the far set)
     selected = np.zeros(g.n, dtype=bool)
     selected[draw] = True
+    eu = g.eu  # derived on each access, so read once
 
     def pair_valid(i: int) -> bool:
         u, v = int(pu[i]), int(pv[i])
@@ -84,11 +85,11 @@ def reference_generator_algorithm(g, k, seed, s):
         if g.edge_count:
             for _ in range(matching._REJECTION_TRIES):
                 j = int(rng.integers(g.edge_count))
-                if far[g.eu[j]] and far[g.ev[j]]:
+                if far[eu[j]] and far[g.ev[j]]:
                     picked = j
                     break
             if picked is None:
-                hits = np.flatnonzero(far[g.eu] & far[g.ev])
+                hits = np.flatnonzero(far[eu] & far[g.ev])
                 if hits.size:
                     picked = int(hits[rng.integers(hits.size)])
         if picked is None:
@@ -97,7 +98,7 @@ def reference_generator_algorithm(g, k, seed, s):
                 iterations,
                 int(np.count_nonzero(far)),
             )
-        pu[i] = int(g.eu[picked])
+        pu[i] = int(eu[picked])
         pv[i] = int(g.ev[picked])
         selected[pu[i]] = True
         selected[pv[i]] = True
@@ -405,6 +406,41 @@ class TestGreedy:
         assert km.is_maximal_k_matching(g, m)
         if k >= 2:
             assert km.gamma_independence_check(g, m)
+
+
+def test_library_paths_never_derive_eu(monkeypatch):
+    """Sampling, greedy, the maximality check, the generator with and
+    without its rejection draws, and whole experiment trials never read
+    ``Graph.eu``, which builds an m-entry array: with it made to raise, each
+    returns what it returns unpatched."""
+    configs = [
+        km.experiments.TrialConfig(n=3000, d=8, k=2, trials=1, base_seed=3, algorithm=a)
+        for a in ("greedy", "generator")
+    ]
+
+    def run():
+        g = km.sample_gnp(GnpParams(3000, 8 / 2999, 5))
+        out = [g.upper_ptr, g.lower_ptr, g.lower, g.ev]
+        for k in (1, 2, 3):
+            m = km.greedy_k_matching(g, k, 7)
+            out += [m.u, m.v, km.is_maximal_k_matching(g, m)]
+        for tries in (matching._REJECTION_TRIES, 0):  # 0: the fallback scan only
+            with monkeypatch.context() as mp:
+                mp.setattr(matching, "_REJECTION_TRIES", tries)
+                m = km.generator_algorithm(g, 2, 7, 20)
+            out += [m.u, m.v]
+        return out + [km.run_trials(cfg) for cfg in configs]
+
+    want = run()
+
+    def no_eu(g):
+        raise AssertionError("a library path derived Graph.eu")
+
+    monkeypatch.setattr(km.Graph, "eu", property(no_eu))
+    got = run()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 class TestExact:
