@@ -148,25 +148,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _from_upper_rows(n: int, counts: np.ndarray, ev: np.ndarray) -> Graph:
-    """Build the graph whose edges, sorted lexicographically, are given as
-    ``counts[u]``, the number of edges (u, *), and their larger endpoints
-    ``ev`` (int32).
+def _from_upper_rows(n: int, upper_ptr: np.ndarray, ev: np.ndarray) -> Graph:
+    """Build the graph whose lexicographically sorted edges are the larger
+    endpoints ``ev`` (int32) under the int64 row pointers ``upper_ptr``.
 
     These are already the CSR rows of the upper half: each vertex's larger
     neighbours, ascending, at their edge ids.  scipy's compiled CSR->CSC
     counting sort transposes them over m entries into the lower half; it is
     stable, so each transposed row lists the vertex's smaller neighbours
-    ascending.  The build is O(n + m) and sorts nothing.
+    ascending.  The build is O(n + m) and sorts nothing.  No matrix value is
+    read, so the values are a view of ``ev``'s first m bytes.
     """
     from scipy import sparse  # imported here: it takes 0.2 s, and only builds need it
 
-    m = ev.shape[0]
-    upper_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=upper_ptr[1:])
-    lower = sparse.csr_matrix(
-        (np.ones(m, dtype=np.int8), ev, upper_ptr), shape=(n, n)
-    ).tocsc()
+    values = ev.view(np.int8)[: ev.size]
+    lower = sparse.csr_matrix((values, ev, upper_ptr), shape=(n, n)).tocsc()
     lower_ptr = lower.indptr.astype(np.int64)
     lower_idx = lower.indices.astype(np.int32, copy=False)
     return Graph(n, *map(_freeze, (upper_ptr, lower_ptr, lower_idx, ev)))
@@ -183,7 +179,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     for i in range(1, m):
         if pairs[i] == pairs[i - 1]:
             raise ValueError(f"duplicate edge {pairs[i]}")
-    return _from_upper_rows(n, np.bincount(eu, minlength=n), ev)
+    return _from_upper_rows(n, np.searchsorted(eu, np.arange(n + 1)), ev)
 
 
 def path_graph(n: int) -> Graph:
@@ -269,7 +265,7 @@ def sample_gnp(params: GnpParams) -> Graph:
     n, p = params.n, params.p
     rng = np.random.default_rng(np.random.PCG64(params.seed))
     offs = _pair_offsets(n)
-    counts = np.zeros(n, dtype=np.int64)
+    upper_ptr = np.zeros(n + 1, dtype=np.int64)  # row sizes at [1:] until the end
     total = n * (n - 1) // 2
     mean = total * p
     spare = _SPARE_SD * math.sqrt(mean * (1.0 - p))
@@ -283,14 +279,16 @@ def sample_gnp(params: GnpParams) -> Graph:
         lo = int(np.searchsorted(offs, t[0], side="right")) - 1
         hi = int(np.searchsorted(offs, t[-1], side="right"))
         run = np.diff(np.searchsorted(t, offs[lo : hi + 1]))
-        counts[lo:hi] += run
+        upper_ptr[lo + 1 : hi + 1] += run
         if m + t.size > ev.size:
             ev.resize(max(2 * ev.size, m + t.size), refcheck=False)
         shift = np.repeat(offs[lo:hi] - np.arange(lo, hi) - 1, run)
         ev[m : m + t.size] = t - shift
         m += t.size
     ev.resize(m, refcheck=False)
-    return _from_upper_rows(n, counts, ev)
+    np.cumsum(upper_ptr, out=upper_ptr)
+    del offs  # 8 bytes per vertex, freed before the transposition sets the peak
+    return _from_upper_rows(n, upper_ptr, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +617,7 @@ def read_edge_list(source: Union[str, IO[str]]) -> Graph:
         text = source.read()
         edges = _canonical_edges(text, n, m)
         eu, ev = edges if edges is not None else _edge_lines(io.StringIO(text), n, m)
-        return _from_upper_rows(n, np.bincount(eu, minlength=n), ev)
+        return _from_upper_rows(n, np.searchsorted(eu, np.arange(n + 1)), ev)
     finally:
         if close:
             source.close()

@@ -3,11 +3,12 @@
 A graph on n vertices is a bitmask over the N = C(n,2) vertex-pair slots in
 lexicographic order, and an event's G(n,p) probability is
 sum_j c_j p^j (1-p)^(N-j), where c_j counts the satisfying masks with j
-edges.  The built-in events are boolean vectors over all 2^N masks at once,
-decided by bit BFS on per-vertex neighbor bitmasks, and c is a bincount of
-their edge counts; ``exact_event_probability`` calls a predicate per mask
-instead.  With ``exact=True`` the sum is exact in Fraction(p); otherwise it
-is the correctly rounded sum of c_j w_j over the float weights
+edges.  Events are bit-sliced rows of words, mask i at bit i % 64 of word
+i // 64, decided 64 masks to an AND/OR by bit BFS over packed slot rows; c_j
+is a popcount against the row of the masks with j edges.
+``exact_event_probability`` calls a predicate per mask instead.  With
+``exact=True`` the sum is exact in Fraction(p); otherwise it is the
+correctly rounded sum of c_j w_j over the float weights
 w_j = float(p)^j (1-float(p))^(N-j).  G(n,p) is exchangeable, so E[X_m] is
 the number of size-m matchings of K_n times the probability of one of them.
 
@@ -17,10 +18,11 @@ corrections, the oracle does not.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Iterable, Sequence, Union
+from itertools import combinations, product
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -65,57 +67,79 @@ class MaskGraph:
 
     __slots__ = ("n", "mask", "adj")
 
-    def __init__(self, n: int, mask: int):
+    def __init__(self, n: int, mask: int, adj: Optional[list[int]] = None):
         self.n = n
         self.mask = mask
-        self.adj = _mask_tables(n)[0][:, mask].tolist()
+        self.adj = _neighbours(n, mask).tolist() if adj is None else adj
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
 
-@lru_cache(maxsize=None)
-def _mask_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(adj, edges) over all 2^N masks: adj[u, mask] is u's neighbor bitmask
-    in that mask (a byte, as n <= 6) and edges[mask] its edge count."""
-    masks = np.arange(1 << len(pair_slots(n)), dtype=np.int32)
-    adj = np.zeros((n, masks.size), dtype=np.uint8)
-    edges = np.zeros(masks.size, dtype=np.intp)
+def _neighbours(n: int, masks) -> np.ndarray:
+    """adj[..., u]: u's neighbor bitmask (a byte, as n <= 6) in each mask."""
+    masks = np.asarray(masks)
+    adj = np.zeros(masks.shape + (n,), dtype=np.uint8)
     for slot, (u, v) in enumerate(pair_slots(n)):
         bit = (masks >> slot & 1).astype(np.uint8)
-        adj[u] |= bit << v
-        adj[v] |= bit << u
-        edges += bit
-    adj.flags.writeable = edges.flags.writeable = False
-    return adj, edges
+        adj[..., u] |= bit << v
+        adj[..., v] |= bit << u
+    return adj
 
 
-def _ball(adj: np.ndarray, vertices: Iterable[int], radius: int) -> np.ndarray:
-    """Bitmask of the vertices within ``radius`` (no ball grows past n - 1) of
-    ``vertices`` in every mask, by bit BFS over all masks at once."""
-    ball = np.full(adj.shape[1], sum(1 << x for x in vertices), dtype=np.uint8)
-    for _ in range(min(radius, len(adj) - 1)):
-        grown = ball.copy()
-        for v in range(len(adj)):
-            grown |= adj[v] * (ball >> v & 1)
-        ball = grown
-    return ball
+@lru_cache(maxsize=None)
+def _mask_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reach, levels), packed: reach[x, y] holds the masks in which
+    d(x, y) <= 1, so for x != y the slot row of the pair xy, and levels[j]
+    the masks with exactly j edges.  Below 64 masks (n <= 3) the word is
+    padded with bits in no level, so no histogram counts them."""
+    top = len(pair_slots(n))
+    masks = np.arange(max(1 << top, 64))
+    edges = np.where(masks < 1 << top, np.bitwise_count(masks), -1)
+
+    def pack(bits: np.ndarray) -> np.ndarray:
+        return np.packbits(bits, bitorder="little").view("<u8")
+
+    reach = np.full((n, n, len(masks) // 64), ~np.uint64(0))
+    for slot, (u, v) in enumerate(pair_slots(n)):
+        reach[u, v] = reach[v, u] = pack(masks >> slot & 1 == 1)
+    levels = np.array([pack(edges == j) for j in range(top + 1)])
+    reach.flags.writeable = levels.flags.writeable = False
+    return reach, levels
 
 
-def _histogram(n: int, event: np.ndarray) -> np.ndarray:
-    """c_j: the number of masks with j edges where ``event`` holds."""
-    return np.bincount(_mask_tables(n)[1][event], minlength=len(pair_slots(n)) + 1)
+def _far(n: int, k: int) -> np.ndarray:
+    """far[x, y]: the masks in which d(x, y) >= k, by bit BFS over all masks
+    at once; a step grows every ball by B[x] |= OR_y (B[y] & reach[x, y])."""
+    reach = _mask_tables(n)[0]
+    # one step from the points reaches ``reach``; d < 1 only on the diagonal
+    near = reach if k > 1 else reach * (np.eye(n, dtype=np.uint64)[..., None] * (k > 0))
+    for _ in range(min(k, n) - 2):  # no ball grows past n - 1 steps
+        near = np.stack([np.bitwise_or.reduce(x[:, None] & near, axis=0) for x in reach])
+    return ~near
 
 
-def _evaluate(counts: Sequence[int], p, exact: bool) -> Union[float, Fraction]:
-    """sum_j counts[j] p^j (1-p)^(N-j), N = len(counts) - 1: exact, or over
-    the float weights float(p)^j (1-float(p))^(N-j) and rounded once."""
-    top = len(counts) - 1
-    q = Fraction(p) if exact else float(p)
-    total = sum(
-        int(c) * Fraction(q**j * (1 - q) ** (top - j)) for j, c in enumerate(counts)
-    )
-    return total if exact else float(total)
+def _histogram(n: int, events: np.ndarray) -> np.ndarray:
+    """c_j per event row: the number of masks with j edges where it holds."""
+    return np.bitwise_count(events[..., None, :] & _mask_tables(n)[1]).sum(axis=-1)
+
+
+def _evaluate(counts: np.ndarray, p, exact: bool) -> list[Union[float, Fraction]]:
+    """sum_j c_j w_j for each row c of ``counts``, over the weights
+    w_j = p^j (1-p)^(N-j) (N = its length - 1), exact or float(p)'s rounded
+    ones.  The N+1 weights are built once for all rows, as integers over one
+    denominator, so each sum is exact and int / int rounds it once."""
+    top = counts.shape[-1] - 1
+    if exact:  # p = a/b: w_j = a^j (b-a)^(N-j) / b^N
+        a, b = Fraction(p).as_integer_ratio()
+        terms, scale = [a**j * (b - a) ** (top - j) for j in range(top + 1)], b**top
+    else:
+        q = float(p)
+        ratios = [(q**j * (1 - q) ** (top - j)).as_integer_ratio() for j in range(top + 1)]
+        scale = math.lcm(*(den for _, den in ratios))
+        terms = [num * (scale // den) for num, den in ratios]
+    sums = [sum(c * t for c, t in zip(row, terms)) for row in counts.tolist()]
+    return [Fraction(s, scale) if exact else s / scale for s in sums]
 
 
 def exact_event_probability(
@@ -132,11 +156,12 @@ def exact_event_probability(
     arithmetic is exact rational.
     """
     _check_n(n, p)
-    masks = range(1 << len(pair_slots(n)))
-    event = np.fromiter(
-        (bool(predicate(MaskGraph(n, mask))) for mask in masks), bool, len(masks)
-    )
-    return _evaluate(_histogram(n, event), p, exact)
+    top = len(pair_slots(n))
+    rows = _neighbours(n, np.arange(1 << top)).tolist()
+    graphs = (MaskGraph(n, mask, adj) for mask, adj in enumerate(rows))
+    event = np.fromiter((bool(predicate(g)) for g in graphs), bool, len(rows))
+    counts = np.bincount(np.bitwise_count(np.flatnonzero(event)), minlength=top + 1)
+    return _evaluate(counts[None], p, exact)[0]
 
 
 def exact_prob_distance_ge_k(
@@ -152,9 +177,7 @@ def exact_prob_distance_ge_k(
     _check_n(n, p)
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("vertex out of range")
-    adj, _ = _mask_tables(n)
-    event = (k <= 0) | (_ball(adj, [u], k - 1) >> v & 1 == 0)
-    return _evaluate(_histogram(n, event), p, exact)
+    return _evaluate(_histogram(n, _far(n, k)[u, [v]]), p, exact)[0]
 
 
 def _normalize_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -172,18 +195,16 @@ def _normalize_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[
     return sorted(out)
 
 
-def _k_matching_event(n: int, k: int, members, balls=None) -> np.ndarray:
-    """The masks where every member edge is present and no member's radius-(k-1)
-    ball (``balls[edge]`` when given) holds an endpoint of a later member."""
-    adj, _ = _mask_tables(n)
-    if balls is None:
-        balls = {e: _ball(adj, e, k - 1) for e in members}
-    event = np.ones(adj.shape[1], dtype=bool)
-    for u, v in members:
-        event &= (adj[u] >> v & 1) != 0
-    for e, (u, v) in combinations(members, 2):
-        event &= (balls[e] >> u | balls[e] >> v) & 1 == 0
-    return event
+def _k_matched(n: int, matchings, m: int, far: np.ndarray) -> np.ndarray:
+    """The masks (one row) where some size-m matching of ``matchings`` is a
+    k-matching: its edges are present and every two of them have their ends
+    ``far`` apart (a ``_far`` table).  All matchings go through one reduction."""
+    ends = np.array(matchings, dtype=np.intp).reshape(len(matchings), m, 2)
+    events = np.bitwise_and.reduce(_mask_tables(n)[0][ends[..., 0], ends[..., 1]], axis=1)
+    for a, b in combinations(range(m), 2):
+        for x, y in product(ends[:, a].T, ends[:, b].T):
+            events &= far[x, y]  # the two edges' far row, one end pair at a time
+    return np.bitwise_or.reduce(events, axis=0, keepdims=True)
 
 
 def exact_prob_k_matching(
@@ -198,7 +219,8 @@ def exact_prob_k_matching(
     set are present and pairwise at endpoint distance >= k."""
     _check_n(n, p)
     members = _normalize_matching(n, matching)
-    return _evaluate(_histogram(n, _k_matching_event(n, k, members)), p, exact)
+    event = _k_matched(n, [members], len(members), _far(n, k))
+    return _evaluate(_histogram(n, event), p, exact)[0]
 
 
 @lru_cache(maxsize=None)
@@ -223,11 +245,9 @@ def exact_expected_Xm(
     _check_n(n, p)
     if m == 0:
         return Fraction(1) if exact else 1.0
-    matchings = enumerate_matchings(n, m)
-    if not matchings:
-        return Fraction(0) if exact else 0.0
-    event = _k_matching_event(n, k, matchings[0])
-    return _evaluate(len(matchings) * _histogram(n, event), p, exact)
+    matchings = enumerate_matchings(n, m)  # none for m > n/2: a zero row below
+    event = _k_matched(n, matchings[:1], m, _far(n, k))
+    return _evaluate(len(matchings) * _histogram(n, event), p, exact)[0]
 
 
 def exact_pair_profile_table(n: int, m: int) -> dict[PairProfile, int]:
@@ -277,10 +297,12 @@ def exact_umk_distribution(
     _check_n(n, p)
     if k < 1:
         raise ValueError("k must be >= 1")
-    adj, edges = _mask_tables(n)
-    balls = {e: _ball(adj, e, k - 1) for e in pair_slots(n)}
-    size = np.zeros(edges.size, dtype=np.int8)
-    for m in range(1, n // 2 + 1):
-        for members in enumerate_matchings(n, m):
-            size[_k_matching_event(n, k, members, balls)] = m
-    return {int(s): _evaluate(_histogram(n, size == s), p, exact) for s in np.unique(size)}
+    far = _far(n, k)
+    # has[m], the masks with a size-m k-matching (none past m = n/2), shrinks
+    # in m as subsets of k-matchings are ones: label s is has[s] & ~has[s + 1]
+    has = np.vstack(
+        [_k_matched(n, enumerate_matchings(n, m), m, far) for m in range(n // 2 + 2)]
+    )
+    counts = _histogram(n, has[:-1] & ~has[1:])
+    attained = np.flatnonzero(counts.sum(axis=1))
+    return dict(zip(attained.tolist(), _evaluate(counts[attained], p, exact)))

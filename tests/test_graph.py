@@ -159,11 +159,12 @@ class TestSampling:
         margin = 3 * math.sqrt(max(bound * (1 - bound), 1e-12) / samples)
         assert bad / samples <= bound + margin
 
-    def test_peak_memory_at_most_one_and_a_half_graphs(self):
+    def test_peak_memory_at_most_1_2_graphs(self):
         # the decode holds no array of all pair indices and the build no
         # 2m-long symmetric COO; holding both costs about 3.9x the graph.
         # Batches of _BATCH_CAP pairs leave the build's own arrays as the
-        # peak, 1.29x the 8-bytes-per-edge graph here
+        # peak: 1.14x the 8-bytes-per-edge graph here (seeds 5-7), and 1.29x
+        # while the transposition's unread values were an array of their own
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -173,7 +174,7 @@ class TestSampling:
             tracemalloc.stop()
         arrays = [getattr(g, f.name) for f in dataclasses.fields(g)]
         nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-        assert peak <= 1.5 * nbytes
+        assert peak <= 1.2 * nbytes
 
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -445,3 +446,69 @@ class TestEdgeCases:
         assert orc.exact_prob_distance_ge_k(4, q, -2, 0, 1, exact=True) == 1
         assert orc.exact_prob_distance_ge_k(4, q, 1, 1, 1, exact=True) == 0
         assert orc.exact_prob_distance_ge_k(4, q, 1, 0, 1, exact=True) == 1
+
+
+class TestPackedWords:
+    """The oracle packs 64 masks to a uint64 word; n <= 3 leaves padding bits
+    in its one word, and n = 4 (64 masks) fills it exactly."""
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_exact_probabilities_sum_to_one(self, n):
+        q = Fraction(2, 7)
+        assert orc.exact_event_probability(n, q, lambda g: True, exact=True) == 1
+        assert orc.exact_prob_k_matching(n, q, 2, [], exact=True) == 1
+        for k in range(1, 5):
+            assert sum(orc.exact_umk_distribution(n, q, k, exact=True).values()) == 1
+            for m in range(0, 3):
+                want = ref.expected_Xm(n, q, k, m, exact=True)
+                assert orc.exact_expected_Xm(n, q, k, m, exact=True) == want
+        for u in range(n):
+            # k <= 0 holds in every mask, and so in every padding bit
+            assert orc.exact_prob_distance_ge_k(n, q, 0, u, u, exact=True) == 1
+            for v in range(n):
+                assert orc.exact_prob_distance_ge_k(n, q, n, u, v, exact=True) + (
+                    orc.exact_event_probability(
+                        n, q, lambda g: not distance_at_least(g.adj, 1 << u, 1 << v, n),
+                        exact=True,
+                    )
+                ) == 1
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_padding_bits_enter_no_histogram(self, n):
+        reach, levels = orc._mask_tables(n)
+        top = len(orc.pair_slots(n))
+        assert levels.shape == (top + 1, 1) and reach.shape == (n, n, 1)
+        # an event set in every bit, padding included, counts each mask once
+        everything = np.full((1, 1), ~np.uint64(0))
+        assert orc._histogram(n, everything).tolist() == [
+            [math.comb(top, j) for j in range(top + 1)]
+        ]
+        padding = ~np.uint64((1 << (1 << top)) - 1) if top < 6 else np.uint64(0)
+        assert orc._histogram(n, np.full((1, 1), padding)).sum() == 0
+        assert not (np.bitwise_or.reduce(levels, axis=0) & padding).any()
+
+
+class TestFloatsPinned:
+    """The float outputs, repr for repr, as the one-byte-per-mask oracle that
+    preceded the packed words returned them: each is the correctly rounded
+    sum of c_j w_j, so a change of summation order or weights shows here."""
+
+    @pytest.mark.parametrize(
+        "p, k, want",
+        [
+            (0.3, 2, "{0: 0.004747561509942996, 1: 0.5029519847902466, "
+             "2: 0.4866947323834046, 3: 0.005605721316404995}"),
+            (0.3, 3, "{0: 0.004747561509942996, 1: 0.7615445235495564, "
+             "2: 0.2281021936240948, 3: 0.005605721316404995}"),
+            (0.5, 2, "{0: 3.0517578125e-05, 1: 0.587677001953125, "
+             "2: 0.411834716796875, 3: 0.000457763671875}"),
+            (0.5, 3, "{0: 3.0517578125e-05, 1: 0.943817138671875, "
+             "2: 0.055694580078125, 3: 0.000457763671875}"),
+        ],
+    )
+    def test_umk_distribution_n6(self, p, k, want):
+        assert repr(orc.exact_umk_distribution(6, p, k)) == want
+
+    @pytest.mark.parametrize("p, want", [(0.3, "0.5323450717840496"), (0.5, "0.13458251953125")])
+    def test_expected_Xm_n6(self, p, want):
+        assert repr(orc.exact_expected_Xm(6, p, 3, 2)) == want
