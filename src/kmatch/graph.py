@@ -419,9 +419,10 @@ def _ball(g: Graph, seeds: Sequence[int], radius: int) -> np.ndarray:
         for s in seeds:
             levels.append(g.lower[g.lower_ptr[s] : g.lower_ptr[s + 1]])
             levels.append(g.ev[g.upper_ptr[s] : g.upper_ptr[s + 1]])
-    frontier = levels[1:]
-    for _ in range(radius - 1):
-        frontier = _gather_neighbors(g, _distinct(np.concatenate(frontier)))
+    frontier, one = levels[1:], len(seeds) == 1  # one seed's runs are distinct
+    for r in range(radius - 1):
+        verts = np.concatenate(frontier)
+        frontier = _gather_neighbors(g, verts if one and r == 0 else _distinct(verts))
         levels += frontier
     return np.concatenate(levels)
 
@@ -475,6 +476,21 @@ def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
     if src.size and (src[0] < 0 or src[-1] >= g.n):
         raise ValueError("source vertex out of range")
     return _bfs(g, src, cap)
+
+
+def _upper_hits(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each (u[i], v[i]) is an edge with u[i] < v[i]: one bisection
+    of all the upper rows at once (a closed search can sit at ev.size)."""
+    lo, end = g.upper_ptr[u], g.upper_ptr[u + 1]
+    hi = end
+    for _ in range(int((end - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        below = (lo < hi) & (g.ev[np.minimum(mid, g.ev.size - 1)] < v)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    hit = lo < end
+    hit[hit] = g.ev[lo[hit]] == v[hit]
+    return hit
 
 
 def _edge_rows(g: Graph, ids):

@@ -33,12 +33,14 @@ from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     _ball,
     _bfs,
     _blocks,
+    _distinct,
     _edge_rows,
     _freeze,
     _gather_neighbors,
     _induced_edge_from_mask,
     _induced_edges,
     _ints,
+    _upper_hits,
 )
 
 __all__ = [
@@ -177,16 +179,7 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     k, mu, mv = m.k, m.u, m.v
     if not np.all((0 <= mu) & (mu < g.n) & (0 <= mv) & (mv < g.n)):
         raise InvalidMatchingError("a member is not a pair of vertices of this graph")
-    # lower-bound bisection of every member's sorted upper row at once; a
-    # closed search can sit at ev.size, hence the clamped read
-    lo, end = g.upper_ptr[mu], g.upper_ptr[mu + 1]
-    hi = end
-    for _ in range(int((end - lo).max(initial=0)).bit_length()):
-        mid = (lo + hi) // 2
-        below = (lo < hi) & (g.ev[np.minimum(mid, g.ev.size - 1)] < mv)
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-    edges = bool(np.all(lo < end)) and np.array_equal(g.ev[lo], mv)
+    edges = bool(np.all(_upper_hits(g, mu, mv)))
     src = np.concatenate([mu, mv])
     labels = np.tile(np.arange(mu.size, dtype=np.int32), 2)
     owner = np.full(g.n, -1, dtype=np.int32)
@@ -313,6 +306,42 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
 _REJECTION_TRIES = 256
 
 
+def _kept_balls(g: Graph, src: np.ndarray, radius: int):
+    """The radius balls of the distinct sources as one int32 array, source
+    i's at ``balls[ptr[i] : ptr[i + 1]]``, and the int32 count of balls
+    holding each vertex.  Up to radius 2 they grow on int64 keys source * n
+    + vertex in ``_blocks`` of about ``_BATCH_CAP / 8`` expected keys, each
+    sorted by one ``_distinct``; beyond, one ``_ball`` a source is faster."""
+    n, cover = g.n, np.zeros(g.n, dtype=np.int32)
+    if radius >= 3:
+        parts = [_ball(g, (x,), radius) for x in src.astype(np.int32)]
+        for ball in parts:
+            cover[ball] += 1
+        ptr = np.cumsum([0] + [ball.size for ball in parts])
+        return np.concatenate(parts), ptr, cover
+    deg = sum(p[src + 1] - p[src] for p in (g.lower_ptr, g.upper_ptr))
+    # expected sizes (a few per cent off on G(n,p)) size the one buffer
+    size = (1 + deg) * (1 + round(g.mean_degree())) ** (radius - 1)
+    balls = np.empty(size.sum(), dtype=np.int32)
+    ptr = np.zeros(src.size + 1, dtype=np.int64)
+    for block in _blocks(np.arange(src.size), np.cumsum(np.r_[0, 8 * size])):
+        levels = [block * n + src[block]]
+        for _ in range(radius):  # one source's neighbours are distinct keys
+            x = levels[-1] % n
+            nbrs, base = _gather_neighbors(g, x, levels[-1] - x)
+            levels.append(base + nbrs)
+        keys = _distinct(np.concatenate(levels))
+        at, stop = ptr[block[0]], ptr[block[0]] + keys.size
+        if stop > balls.size:
+            balls.resize(2 * stop, refcheck=False)
+        balls[at:stop] = keys % n
+        np.add.at(cover, balls[at:stop], np.int32(1))  # int32 1: numpy's fast path
+        counts = np.bincount(keys // n - block[0], minlength=block.size)
+        ptr[block + 1] = at + np.cumsum(counts)
+    balls.resize(ptr[-1], refcheck=False)
+    return balls, ptr, cover
+
+
 def generator_algorithm(g: Graph, k: int, seed: int, s: int) -> KMatching:
     """Build a k-matching of exactly s edges by pairing 2s random vertices
     and repairing invalid pairs one at a time.  The caller chooses s, the
@@ -323,15 +352,18 @@ def generator_algorithm(g: Graph, k: int, seed: int, s: int) -> KMatching:
     within distance k-1: the set F of vertices at distance >= k from the
     selection is where it reads 0, and a pair is valid (an edge with no
     other selected vertex within distance k-1) iff it reads 2 at both
-    endpoints.  One ascending pass visits the pairs invalid at the start;
-    each one still invalid has its two balls taken off the counter and
-    replaced by those of a uniformly random edge induced by F (drawn by
-    rejection from the edge list, with an exact scan fallback): O(d^(k-1))
-    work, not O(n).  The new endpoints read 0 once the old balls are off
-    and exactly 2 (the pair itself) after the insertion, whose balls hold
-    no other selected vertex; removals only lower counts.  So a repaired
-    pair is valid, a valid pair stays valid, and the pass ends with every
-    pair valid after at most s repairs.
+    endpoints.  The start grows and keeps each selected vertex's ball
+    (``_kept_balls``) and checks all s pairs at once.  One ascending pass
+    visits the pairs invalid at the start (only edges can have turned
+    valid); each one still invalid has its two kept balls taken off the
+    counter and is replaced by a uniformly random edge induced by F (drawn
+    by rejection from the edge list, with an exact scan fallback), whose
+    balls are grown and counted: O(d^(k-1)) work, not O(n).  The new
+    endpoints read 0 once the old balls are off and exactly 2 (the pair
+    itself) after the insertion, whose balls hold no other selected vertex;
+    removals only lower counts.  So a repaired pair is valid, a valid pair
+    stays valid, and the pass ends with every pair valid after at most s
+    repairs.
 
     Raises GeneratorStalled, carrying |F|, when F induces no edge.
     """
@@ -346,31 +378,21 @@ def generator_algorithm(g: Graph, k: int, seed: int, s: int) -> KMatching:
     pu = np.minimum(draw[0::2], draw[1::2]).astype(np.int64)
     pv = np.maximum(draw[0::2], draw[1::2]).astype(np.int64)
     # selected vertices stay distinct (drawn without replacement, inserted
-    # from F); each adds 1 over its ball, where a repeated index adds once
-    cover = np.zeros(g.n, dtype=np.int32)
-
-    def shift(i: int, step: int) -> None:
-        for x in (int(pu[i]), int(pv[i])):
-            cover[_ball(g, (x,), k - 1)] += step
-
-    for i in range(s):
-        shift(i, 1)
-
-    def pair_valid(i: int) -> bool:
-        u, v = int(pu[i]), int(pv[i])
-        return g.has_edge(u, v) and cover[u] == 2 and cover[v] == 2
-
-    invalid = [i for i in range(s) if not pair_valid(i)]
-    iterations = 0
-    for i in invalid:
-        if pair_valid(i):
+    # from F); each adds 1 over its ball.  Pair i's ends own balls i, s + i
+    balls, ptr, cover = _kept_balls(g, np.concatenate([pu, pv]), k - 1)
+    edges = _upper_hits(g, pu, pv)
+    invalid = np.flatnonzero(~(edges & (cover[pu] == 2) & (cover[pv] == 2)))
+    iterations, m = 0, g.edge_count
+    for i in invalid.tolist():
+        if edges[i] and cover[pu[i]] == 2 and cover[pv[i]] == 2:
             continue  # the conflicting pair was repaired away
         iterations += 1
-        shift(i, -1)
+        for b in (i, s + i):
+            cover[balls[ptr[b] : ptr[b + 1]]] -= 1
         picked = None
-        if g.edge_count:
+        if m:
             for _ in range(_REJECTION_TRIES):
-                j = int(rng.integers(g.edge_count))
+                j = int(rng.integers(m))
                 # the row is bisected only when the larger end is far
                 if cover[g.ev[j]] == 0 and cover[_edge_rows(g, j)] == 0:
                     picked = j
@@ -386,7 +408,8 @@ def generator_algorithm(g: Graph, k: int, seed: int, s: int) -> KMatching:
                 int(np.count_nonzero(cover == 0)),
             )
         pu[i], pv[i] = _edge_rows(g, picked), g.ev[picked]
-        shift(i, 1)
+        for x in (pu[i], pv[i]):
+            cover[_ball(g, (x,), k - 1)] += 1
     return KMatching(k, pu, pv)
 
 

@@ -198,9 +198,12 @@ def _normalize_matching(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[
 def _k_matched(n: int, matchings, m: int, far: np.ndarray) -> np.ndarray:
     """The masks (one row) where some size-m matching of ``matchings`` is a
     k-matching: its edges are present and every two of them have their ends
-    ``far`` apart (a ``_far`` table).  All matchings go through one reduction."""
+    ``far`` apart (a ``_far`` table).  All matchings are decided at once."""
     ends = np.array(matchings, dtype=np.intp).reshape(len(matchings), m, 2)
-    events = np.bitwise_and.reduce(_mask_tables(n)[0][ends[..., 0], ends[..., 1]], axis=1)
+    reach = _mask_tables(n)[0]  # ANDed a member at a time: never (count, m, W) words
+    events = np.bitwise_and.reduce(reach[ends[:, :1, 0], ends[:, :1, 1]], axis=1)
+    for c in range(1, m):
+        events &= reach[ends[:, c, 0], ends[:, c, 1]]
     for a, b in combinations(range(m), 2):
         for x, y in product(ends[:, a].T, ends[:, b].T):
             events &= far[x, y]  # the two edges' far row, one end pair at a time

@@ -25,6 +25,7 @@ from kmatch.graph import (
     _induced_edge_from_mask,
     _induced_edges,
     _ints,
+    _upper_hits,
     bounded_ball,
     distance_to_set,
 )
@@ -647,6 +648,27 @@ def test_ball_matches_bounded_ball(seed, radius):
     expected = python_ball(g, seeds, radius)
     assert set(_ball(g, seeds, radius).tolist()) == set(expected)
     assert bounded_ball(g, seeds, radius) == sorted(expected)
+
+
+@given(
+    st.integers(0, 30),
+    st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+    st.integers(0, 2**32),
+    st.sampled_from([np.int32, np.int64]),
+)
+@settings(max_examples=100, deadline=None)
+def test_upper_hits_matches_has_edge(n, p, seed, dtype):
+    """The vectorized bisection of upper rows against ``Graph.has_edge``,
+    on every pair (u, v) with u a vertex and -1 <= v <= n, so down to
+    n = 0, n = 1 and m = 0: a pair is a hit iff it is an edge listed from
+    its smaller end, so never a reversed pair, a loop or a non-vertex."""
+    g = km.sample_gnp(GnpParams(n, p, seed))
+    u, v = np.meshgrid(np.arange(n), np.arange(-1, n + 1), indexing="ij")
+    u, v = u.ravel().astype(dtype), v.ravel().astype(dtype)
+    want = [a < b and g.has_edge(a, b) for a, b in zip(u.tolist(), v.tolist())]
+    got = _upper_hits(g, u, v)
+    assert got.dtype == bool
+    assert got.tolist() == want
 
 
 def test_distance_to_set_matches_bfs():

@@ -566,6 +566,31 @@ class TestGenerator:
         with pytest.raises(ValueError, match=r"^s must be >= 1, got 0$"):
             km.generator_algorithm(g, 2, 0, 0)
 
+    @pytest.mark.parametrize("k, s", [(2, 775), (3, 149), (4, 20)])
+    def test_peak_memory_one_block_above_the_counter_and_balls(self, monkeypatch, k, s):
+        # above the graph a call holds the int32 counter, the kept balls (4
+        # bytes an entry, twice while their blocks are joined) and one block
+        # of the start's keys: 1.0, 1.5-1.65 and 3.3-3.4 MB here (the k=4
+        # runs make fallback scans).  One unblocked sort of the keys, or an
+        # int64 np.bincount counter, peaked at 2.9 MB at k=2 and 5.0 at k=3
+        g = km.sample_gnp(GnpParams(10**5, 20 / 10**5, 5))
+        entries = []
+        kept_balls = matching._kept_balls
+
+        def counted(*args):
+            out = kept_balls(*args)
+            entries.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(matching, "_kept_balls", counted)
+        tracemalloc.start()
+        try:
+            km.generator_algorithm(g, k, 1, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * g.n + 8 * entries[0] + 8 * km.graph._BATCH_CAP, peak
+
 
 class TestGreedyAgainstReference:
     """``greedy_k_matching`` prefilters and compacts in chunks and gathers
@@ -856,6 +881,42 @@ class TestGeneratorAgainstReference:
         assert generator_outcome(km.generator_algorithm, g, cfg) == (
             generator_outcome(reference_generator_algorithm, g, cfg)
         )
+
+
+@given(
+    st.sampled_from(["gnp", "path", "edgeless", "star"]),
+    st.integers(2, 40),
+    st.integers(2, 4),
+    st.sampled_from([1, 64, 2**16]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_kept_balls_count_the_selected_vertices(kind, n, k, cap, data):
+    """The generator's start against the plain Python BFS: each kept ball
+    is its source's radius-(k-1) ball, and the counter holds at every
+    vertex the number of sources within distance k-1, with the key blocks
+    cut down to single sources (cap 1) or a few.  A star's leaves hold
+    balls far above the sizes the mean degree predicts, so the buffer the
+    balls are written into must grow."""
+    if kind == "gnp":
+        p, seed = data.draw(st.floats(0.02, 0.6)), data.draw(st.integers(0, 2**32))
+        g = km.sample_gnp(GnpParams(n, p, seed))
+    elif kind == "star":
+        g = km.from_edges(n, [(0, v) for v in range(1, n)])
+    else:
+        g = km.path_graph(n) if kind == "path" else km.from_edges(n, [])
+    src = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km.graph, "_BATCH_CAP", cap)
+        balls, ptr, cover = matching._kept_balls(g, np.array(src, dtype=np.int64), k - 1)
+    assert balls.dtype == cover.dtype == np.int32
+    assert len(ptr) == len(src) + 1
+    want = np.zeros(n, dtype=np.int64)
+    for i, x in enumerate(src):
+        ball = python_ball(g, (x,), k - 1)
+        want[ball] += 1
+        assert set(balls[ptr[i] : ptr[i + 1]].tolist()) == set(ball)
+    assert np.array_equal(cover, want)
 
 
 class TestSerialization:
