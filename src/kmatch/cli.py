@@ -55,7 +55,7 @@ def _pairs(text: str) -> int:
     return value
 
 
-def _add_graph_source(p: argparse.ArgumentParser, need_seed: bool = True) -> None:
+def _add_graph_source(p: argparse.ArgumentParser, need_seed: bool) -> None:
     p.add_argument("--input", help="read the graph from an edge-list file")
     p.add_argument("--n", type=_count, help="vertex count (scientific notation ok)")
     group = p.add_mutually_exclusive_group()
@@ -84,6 +84,8 @@ def _resolve_graph(args: argparse.Namespace):
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     if getattr(args, "input", None):
+        if args.n is not None or args.d is not None or args.p is not None:
+            raise ValueError("--input cannot be combined with --n, --d or --p")
         return read_edge_list(args.input)
     if args.n is None:
         raise ValueError("one of --input or --n is required")
@@ -111,43 +113,32 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_greedy(args) -> int:
+def _cmd_matching(args) -> int:
+    """greedy, generator and exact: one k-matching of one graph."""
     g = _resolve_graph(args)
-    m = matching.greedy_k_matching(g, args.k, args.seed)
-    _print_matching(m, args.out)
-    return 0
-
-
-def _cmd_generator(args) -> int:
-    g = _resolve_graph(args)
-    s = args.s
-    if s is None:
-        # a sampled graph targets its configured degree, as `experiment`
-        # does; an --input graph its mean degree
-        params = (
-            analytic.AsymptoticParams.from_nd(g.n, g.mean_degree(), args.k)
-            if args.input
-            else _params_from_args(args)
-        )
-        s = analytic.default_pair_count(params)
-    _print_matching(matching.generator_algorithm(g, args.k, args.seed, s), args.out)
-    return 0
-
-
-def _cmd_exact(args) -> int:
-    g = _resolve_graph(args)
-    _, m = matching.exact_um_k(g, args.k, edge_cap=args.edge_cap)
-    _print_matching(m, args.out)
-    return 0
-
-
-def _print_matching(m: matching.KMatching, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", newline="\n") as fh:
+    if args.command == "greedy":
+        m = matching.greedy_k_matching(g, args.k, args.seed)
+    elif args.command == "generator":
+        s = args.s
+        if s is None:
+            # a sampled graph targets its configured degree, as `experiment`
+            # does; an --input graph its mean degree
+            params = (
+                analytic.AsymptoticParams.from_nd(g.n, g.mean_degree(), args.k)
+                if args.input
+                else _params_from_args(args)
+            )
+            s = analytic.default_pair_count(params)
+        m = matching.generator_algorithm(g, args.k, args.seed, s)
+    else:
+        _, m = matching.exact_um_k(g, args.k, edge_cap=args.edge_cap)
+    if args.out:
+        with open(args.out, "w", newline="\n") as fh:
             fh.write(m.to_text())
     print(f"size {m.size}")
-    if not out:
+    if not args.out:
         sys.stdout.write(m.to_text())
+    return 0
 
 
 def _cmd_bounds(args) -> int:
@@ -256,31 +247,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output edge-list path (default: stdout)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser(
-        "greedy",
-        help="maximal k-matching by randomized greedy edge scan",
-    )
-    _add_graph_source(p)
-    p.add_argument("--k", type=int, required=True, help="minimum endpoint distance")
-    p.add_argument("--out", help="write the matching to this path")
-    p.set_defaults(func=_cmd_greedy)
-
-    p = sub.add_parser(
-        "generator",
-        help="size-targeted k-matching by pairing 2s vertices and repairing",
-    )
-    _add_graph_source(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=_pairs, help="target size (default: closed form)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_generator)
-
-    p = sub.add_parser("exact", help="exact k-matching number (small graphs)")
-    _add_graph_source(p, need_seed=False)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--edge-cap", type=int, default=36)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_exact)
+    for name, text in (
+        ("greedy", "maximal k-matching by randomized greedy edge scan"),
+        ("generator",
+         "size-targeted k-matching by pairing 2s vertices and repairing"),
+        ("exact", "exact k-matching number (small graphs)"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_graph_source(p, need_seed=name != "exact")
+        p.add_argument("--k", type=int, required=True, help="minimum endpoint distance")
+        if name == "generator":
+            p.add_argument("--s", type=_pairs, help="target size (default: closed form)")
+        if name == "exact":
+            p.add_argument("--edge-cap", type=int, default=36)
+        p.add_argument("--out", help="write the matching to this path")
+        p.set_defaults(func=_cmd_matching)
 
     p = sub.add_parser(
         "bounds",

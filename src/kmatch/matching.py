@@ -39,7 +39,6 @@ from .graph import (  # bench/run.py wraps matching.distance_to_set by name
     _gather_neighbors,
     _induced_edge_from_mask,
     _induced_edges,
-    _ints,
     _upper_hits,
 )
 
@@ -81,7 +80,9 @@ class KMatching:
     """k >= 1 plus members ``(u[i], v[i])`` as read-only int32 arrays, put in
     ascending lexicographic order by the one ``np.lexsort`` here but kept as
     given otherwise (reversed pairs, loops, repeats) for the validators to
-    reject; an id beyond int32 raises ValueError.  ``of`` normalizes them."""
+    reject; an id beyond int32 raises ValueError.  ``of`` normalizes them.
+    ``to_text`` writes a "k m" header and one "u v" line per member; no
+    command reads a matching back."""
 
     k: int
     u: np.ndarray
@@ -118,35 +119,6 @@ class KMatching:
     def to_text(self) -> str:
         body = "".join(f"{u} {v}\n" for u, v in self.sorted_edges())
         return f"{self.k} {self.size}\n{body}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "KMatching":
-        """Parse ``to_text`` output; a malformed line raises ValueError
-        naming its line number."""
-        lines = text.split("\n")
-        header = lines[0].split()
-        if len(header) != 2:
-            raise ValueError("matching header must be 'k m' at line 1")
-        k, m = _ints(header, 1)
-        if m < 0:
-            raise ValueError(f"negative edge count {m} at line 1")
-        pairs = set()
-        for i in range(1, m + 1):
-            parts = lines[i].split() if i < len(lines) else []
-            if len(parts) != 2:
-                raise ValueError(f"malformed edge line {i + 1}")
-            u, v = _ints(parts, i + 1)
-            if u >= v:
-                raise ValueError(f"edge {u} {v} is not normalized at line {i + 1}")
-            if u < -(2**31) or v >= 2**31:
-                raise ValueError(f"edge {u} {v} does not fit in int32 at line {i + 1}")
-            if (u, v) in pairs:
-                raise ValueError(f"repeated edge {u} {v} at line {i + 1}")
-            pairs.add((u, v))
-        for i, line in enumerate(lines[m + 1 :], start=m + 2):
-            if line.strip():
-                raise ValueError(f"content after the declared edge count at line {i}")
-        return cls.of(k, pairs)
 
 
 def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:

@@ -257,18 +257,57 @@ class TestMatchingCommands:
         assert out == ""
         assert message in err
 
-    def test_matching_file_output(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "command, extra, build",
+        [
+            ("greedy", [], lambda g: km.greedy_k_matching(g, 2, 5)),
+            ("generator", ["--s", "2"], lambda g: km.generator_algorithm(g, 2, 5, 2)),
+            ("exact", [], lambda g: km.exact_um_k(g, 2)[1]),
+        ],
+        ids=["greedy", "generator", "exact"],
+    )
+    def test_matching_file_output(self, capsys, tmp_path, command, extra, build):
         path = tmp_path / "m.txt"
-        code, out, _ = run(
+        code, out, err = run(
             capsys,
-            "greedy", "--n", "30", "--p", "0.2", "--k", "2", "--seed", "5",
+            command, "--n", "16", "--p", "0.2", "--k", "2", "--seed", "5", *extra,
             "--out", str(path),
         )
-        assert code == 0
-        from kmatch.matching import KMatching
+        m = build(km.sample_gnp(km.GnpParams(16, 0.2, 5)))
+        assert (code, out, err) == (0, f"size {m.size}\n", "")
+        assert m.size > 0
+        assert path.read_bytes() == m.to_text().encode()
 
-        m = KMatching.from_text(path.read_text())
-        assert m.k == 2
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("greedy", ["--n", "5"]),
+            ("generator", ["--n", "5", "--d", "50"]),
+            ("exact", ["--p", "0.5"]),
+        ],
+    )
+    def test_input_excludes_sampling_flags(self, capsys, tmp_path, command, flags):
+        path = tmp_path / "g.edges"
+        km.write_edge_list(km.path_graph(8), str(path))
+        code, out, err = run(
+            capsys, command, "--input", str(path), *flags, "--k", "2", "--seed", "3"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "kmatch: error: --input cannot be combined with --n, --d or --p\n"
+
+    def test_exact_edge_cap(self, capsys, tmp_path):
+        path = tmp_path / "star.edges"
+        km.write_edge_list(km.from_edges(41, [(0, v) for v in range(1, 41)]), str(path))
+        code, out, err = run(capsys, "exact", "--input", str(path), "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert "40 edges exceeds the exact-search cap 36" in err
+        code, out, _ = run(
+            capsys, "exact", "--input", str(path), "--k", "2", "--edge-cap", "40"
+        )
+        assert code == 0
+        assert out.startswith("size 1\n")
 
 
 class TestExperimentCommands:
@@ -460,10 +499,12 @@ class TestUsage:
         assert code == 0
         assert out
 
-    def test_help_mentions_flag_semantics(self, capsys):
-        code, out, _ = run(capsys, "greedy", "--help")
+    @pytest.mark.parametrize("command", ["greedy", "generator", "exact"])
+    def test_help_mentions_flag_semantics(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
         assert code == 0
         assert "--k" in out and "endpoint distance" in out
+        assert "--out" in out and "write the matching" in out
         assert "--seed" in out and "reproducible" in out
 
 

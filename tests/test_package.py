@@ -1,7 +1,9 @@
 """Every name a kmatch module lists in ``__all__`` is bound, so that
 ``from kmatch.<module> import *`` works for the package and each module;
-importing the package leaves scipy unloaded."""
+importing the package leaves scipy unloaded; every import is read or
+exported, apart from the names the benchmark harness wraps."""
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -39,3 +41,34 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+# bench/run.py wraps these by name on the importing module; they are read
+# there, not here
+BENCH_ONLY_IMPORTS = {
+    ("kmatch.experiments", "is_k_matching"),
+    ("kmatch.matching", "distance_to_set"),
+    ("kmatch.oracle", "exact_um_k"),
+    ("kmatch.oracle", "from_edges"),
+}
+
+
+def test_every_import_is_used():
+    unused = set()
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        imported, read, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    imported.add(alias.asname or alias.name.partition(".")[0])
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        unused |= {(name, n) for n in imported - read - exported}
+    assert unused == BENCH_ONLY_IMPORTS
