@@ -23,6 +23,10 @@ __all__ = ["main", "entry_point"]
 
 
 class _Parser(argparse.ArgumentParser):
+    # Flags are spelled in full: with abbreviations --s would bind to --seed.
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on usage errors; the contract here reserves 2 for
     # algorithmic failures, so remap.
     def error(self, message: str) -> None:  # type: ignore[override]

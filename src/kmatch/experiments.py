@@ -73,11 +73,6 @@ def derive_seed(base_seed: int, trial_index: int) -> int:
     return _splitmix64_mix((base_seed + (trial_index + 1) * _GOLDEN) & _MASK64)
 
 
-def _sub_seed(trial_seed: int, stream: int) -> int:
-    # stream 0: graph sampling, 1: algorithm randomness, 2: vertex draws
-    return _splitmix64_mix((trial_seed + (stream + 1) * _GOLDEN) & _MASK64)
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """One experiment: graph scale, distance parameter, algorithm, seeds.
@@ -210,19 +205,20 @@ def _trial(
 
     The sources are the matched vertices for "experiment", whose distances
     come from the pass that validates the matching, and 2s uniform distinct
-    vertices (sub-seed stream 2) for "theorem51" and "layers".
+    vertices (stream 2) for "theorem51" and "layers".
     """
     seed = derive_seed(cfg.base_seed, index)
-    g = sample_gnp(GnpParams(cfg.n, cfg.edge_probability(), _sub_seed(seed, 0)))
+    # derive_seed(seed, stream), stream 0: graph, 1: algorithm, 2: vertex draws
+    g = sample_gnp(GnpParams(cfg.n, cfg.edge_probability(), derive_seed(seed, 0)))
     aux: dict = {}
     if mode == "experiment":
         t0 = time.perf_counter() if cfg.measure_runtime else None
         matching: Optional[KMatching] = None
         if cfg.algorithm == "greedy":
-            matching = greedy_k_matching(g, cfg.k, _sub_seed(seed, 1))
+            matching = greedy_k_matching(g, cfg.k, derive_seed(seed, 1))
         elif cfg.algorithm == "generator":
             try:
-                matching = generator_algorithm(g, cfg.k, _sub_seed(seed, 1), s)
+                matching = generator_algorithm(g, cfg.k, derive_seed(seed, 1), s)
             except GeneratorStalled:
                 pass
         else:
@@ -232,7 +228,7 @@ def _trial(
             return TrialRecord(index, seed, 0, runtime_ms, False, aux)
         dist, valid = _matched_distance(g, matching)
     else:
-        rng = np.random.default_rng(np.random.PCG64(_sub_seed(seed, 2)))
+        rng = np.random.default_rng(np.random.PCG64(derive_seed(seed, 2)))
         sources = rng.choice(cfg.n, size=2 * s, replace=False)
         dist = distance_to_set(g, sources, cfg.k)
     if mode == "layers":
@@ -281,6 +277,8 @@ def run_trials(
 ) -> tuple[list[TrialRecord], TrialSummary]:
     """Run cfg.trials independent seeded trials; records come back ordered
     by trial_index whatever the worker count."""
+    if cfg.algorithm != "generator" and cfg.s_override is not None:
+        raise ValueError(f"s_override (--s) needs the generator, got {cfg.algorithm}")
     s = _pair_count(cfg, "experiment") if cfg.algorithm == "generator" else None
     records = _map_trials(cfg, workers, "experiment", s)
     sizes = [r.matching_size for r in records if r.succeeded]

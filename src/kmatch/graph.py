@@ -335,9 +335,7 @@ def edge_distance(
             raise ValueError(f"{x} is not an edge of the graph")
     if e == f:
         return 0
-    if set(e) & set(f):
-        return 1
-    # distances from e's endpoints; g.n reads "unreachable"
+    # distances from e's endpoints (0 at a shared one); g.n reads "unreachable"
     best = int(distance_to_set(g, e, g.n)[list(f)].min())
     return UNREACHABLE if best == g.n else 1 + best
 

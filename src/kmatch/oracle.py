@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .analytic import PairProfile
 # Unused here: bench/run.py traces kmatch.oracle.exact_um_k and from_edges by name.
 from .graph import from_edges  # noqa: F401
 from .matching import exact_um_k  # noqa: F401
@@ -37,7 +36,6 @@ __all__ = [
     "enumerate_matchings",
     "exact_event_probability",
     "exact_expected_Xm",
-    "exact_pair_profile_table",
     "exact_prob_distance_ge_k",
     "exact_prob_k_matching",
     "exact_umk_distribution",
@@ -251,44 +249,6 @@ def exact_expected_Xm(
     matchings = enumerate_matchings(n, m)  # none for m > n/2: a zero row below
     event = _k_matched(n, matchings[:1], m, _far(n, k))
     return _evaluate(len(matchings) * _histogram(n, event), p, exact)[0]
-
-
-def exact_pair_profile_table(n: int, m: int) -> dict[PairProfile, int]:
-    """Count ordered pairs of size-m matchings of K_n by intersection
-    profile (r disjoint rest-edges, c_v single shared vertices, c_e shared
-    edges), restricted to pairs where neither matching has an edge whose
-    endpoints lie in two different edges of the other."""
-    _check_n(n)
-    if m > 2:
-        raise ValueError("profile enumeration is kept to m <= 2")
-    matchings = enumerate_matchings(n, m)
-    table: dict[PairProfile, int] = {}
-    owners = [{x: e for e in mm for x in e} for mm in matchings]
-
-    def crosses(mi, owner_j) -> bool:
-        # an edge of mi with endpoints in two different edges of mj
-        for a, b in mi:
-            ea = owner_j.get(a)
-            eb = owner_j.get(b)
-            if ea is not None and eb is not None and ea != eb:
-                return True
-        return False
-
-    for i, mi in enumerate(matchings):
-        set_i = set(mi)
-        owner_i = owners[i]
-        for j, mj in enumerate(matchings):
-            if crosses(mi, owners[j]) or crosses(mj, owner_i):
-                continue
-            c_e = len(set_i & set(mj))
-            c_v = sum(
-                1
-                for v, e in owner_i.items()
-                if v in owners[j] and owners[j][v] != e
-            )
-            profile = PairProfile(r=m - c_e - c_v, c_v=c_v, c_e=c_e)
-            table[profile] = table.get(profile, 0) + 1
-    return table
 
 
 def exact_umk_distribution(

@@ -1,12 +1,14 @@
 """Plain Python references for the exhaustive oracle: a bit BFS on one
-graph's per-vertex neighbour bitmasks, and one pass over all 2^C(n,2)
-labelled graphs on n vertices that decides every k-matching of each.
-Nothing here comes from kmatch, so the oracle is checked against code it
-does not share."""
+graph's per-vertex neighbour bitmasks, one pass over all 2^C(n,2)
+labelled graphs on n vertices that decides every k-matching of each, and
+the enumerated intersection profiles of matching pairs.  Nothing here
+comes from kmatch, so the oracle and the closed forms are checked against
+code they do not share."""
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 
 def ball(adj, seeds, radius):
@@ -108,3 +110,34 @@ def expected_Xm(n, p, k, m, *, exact=False):
     if m >= len(xm):
         return Fraction(0) if exact else 0.0
     return _evaluate(xm[m], p, exact)
+
+
+def _joins_two(matching, owner):
+    """True iff an edge of ``matching`` has its endpoints in two different
+    edges of the matching whose vertex-to-edge map is ``owner``."""
+    return any(
+        a in owner and b in owner and owner[a] != owner[b] for a, b in matching
+    )
+
+
+def pair_profile_table(n, m):
+    """Ordered pairs of size-m matchings of K_n counted by intersection
+    profile, keyed (r, c_v, c_e): r disjoint rest-edges, c_v single shared
+    vertices, c_e shared edges.  Pairs where an edge of one matching joins
+    two edges of the other are left out."""
+    matchings = [
+        combo
+        for combo in combinations(combinations(range(n), 2), m)
+        if len({x for e in combo for x in e}) == 2 * m
+    ]
+    owners = [{x: e for e in mm for x in e} for mm in matchings]
+    table = {}
+    for mi, owner_i in zip(matchings, owners):
+        for mj, owner_j in zip(matchings, owners):
+            if _joins_two(mi, owner_j) or _joins_two(mj, owner_i):
+                continue
+            c_e = len(set(mi) & set(mj))
+            c_v = sum(1 for v, e in owner_i.items() if owner_j.get(v, e) != e)
+            key = (m - c_e - c_v, c_v, c_e)
+            table[key] = table.get(key, 0) + 1
+    return table

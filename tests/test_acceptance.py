@@ -29,7 +29,9 @@ import kmatch as km
 import kmatch.analytic as an
 import kmatch.oracle as orc
 from kmatch.analytic import AsymptoticParams, PairProfile
-from kmatch.experiments import TrialConfig, derive_seed, _sub_seed, emit, run_trials
+from kmatch.experiments import TrialConfig, derive_seed, emit, run_trials
+
+from mask_reference import pair_profile_table
 
 P_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 TOL = 1e-12
@@ -80,9 +82,14 @@ def test_c03_matching_probability_k2_exact():
             assert abs(got - p**2 * (1.0 - p) ** 4) < TOL
 
 
+def profile_table(n, m):
+    """The enumerated reference table with its keys as PairProfile."""
+    return {PairProfile(*key): c for key, c in pair_profile_table(n, m).items()}
+
+
 def test_c04_pair_profile_counts_exact():
     with criterion(4, "pair-profile-counts"):
-        reference = orc.exact_pair_profile_table(4, 1)
+        reference = profile_table(4, 1)
         assert reference == {
             PairProfile(0, 0, 1): 6,
             PairProfile(1, 0, 0): 6,
@@ -92,7 +99,7 @@ def test_c04_pair_profile_counts_exact():
             for m in (1, 2):
                 if 2 * m > n:
                     continue
-                table = orc.exact_pair_profile_table(n, m)
+                table = profile_table(n, m)
                 for r in range(m + 1):
                     for c_v in range(m - r + 1):
                         profile = PairProfile(r, c_v, m - r - c_v)
@@ -115,8 +122,8 @@ def test_c06_greedy_correctness_1000_trials():
         for k in (2, 3):
             for i in range(1000):
                 seed = derive_seed(20_260_000 + k, i)
-                g = km.sample_gnp(km.GnpParams(n, d / n, _sub_seed(seed, 0)))
-                m = km.greedy_k_matching(g, k, _sub_seed(seed, 1))
+                g = km.sample_gnp(km.GnpParams(n, d / n, derive_seed(seed, 0)))
+                m = km.greedy_k_matching(g, k, derive_seed(seed, 1))
                 assert km.is_k_matching(g, m)
                 assert km.is_maximal_k_matching(g, m)
                 assert km.gamma_independence_check(g, m)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from dataclasses import asdict
@@ -7,7 +8,7 @@ import pytest
 import kmatch as km
 from kmatch import experiments
 from kmatch.analytic import default_pair_count
-from kmatch.cli import main
+from kmatch.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -498,6 +499,46 @@ class TestUsage:
         code, out, _ = run(capsys, *argv, "--seed", "-1")
         assert code == 0
         assert out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--s", "9"), ("--inp", "graph.txt"), ("--sam", "3")],
+    )
+    def test_abbreviated_flag_is_rejected(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, "greedy", "--n", "30", "--p", "0.2", "--k", "2", "--seed", "4",
+            flag, value,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+
+    def test_no_parser_takes_abbreviations(self):
+        parser = build_parser()
+        parsers = [parser]
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+        assert len(parsers) == 10
+        assert all(p.allow_abbrev is False for p in parsers)
+
+    @pytest.mark.parametrize(
+        "algorithm, scale",
+        [
+            ("greedy", ["--n", "2000", "--d", "8"]),
+            ("exact", ["--n", "10", "--p", "0.15"]),
+        ],
+    )
+    def test_experiment_pair_count_needs_the_generator(self, capsys, algorithm, scale):
+        code, out, err = run(
+            capsys, "experiment", *scale, "--k", "2", "--trials", "2", "--seed", "3",
+            "--algorithm", algorithm, "--s", "5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"kmatch: error: s_override (--s) needs the generator, got {algorithm}\n"
+        )
 
     @pytest.mark.parametrize("command", ["greedy", "generator", "exact"])
     def test_help_mentions_flag_semantics(self, capsys, command):

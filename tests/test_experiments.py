@@ -105,6 +105,15 @@ class TestRunTrials:
         assert summary.success_rate == 1.0
         assert all(r.matching_size >= 0 for r in records)
 
+    @pytest.mark.parametrize("algorithm", ["greedy", "exact"])
+    def test_pair_count_override_needs_the_generator(self, algorithm):
+        cfg = TrialConfig(
+            n=10, k=2, trials=2, base_seed=5, algorithm=algorithm, p=0.15,
+            s_override=3,
+        )
+        with pytest.raises(ValueError, match=f"needs the generator, got {algorithm}"):
+            ex.run_trials(cfg)
+
     def test_worker_count_does_not_change_records(self):
         cfg = greedy_cfg(trials=8)
         a, _ = ex.run_trials(cfg, workers=1)

@@ -44,12 +44,13 @@ def brute_force_um_k(g, k):
 def reference_generator_algorithm(g, k, seed, s):
     """Reference pair-and-repair loop: rebuilds the far set F with a full
     ``distance_to_set`` on every repair and checks pairs by a Python ball
-    walk.  It consumes the RNG exactly as ``generator_algorithm`` must: one
-    ascending pass over the pairs invalid at the start, with the rejection
-    budget read from ``matching._REJECTION_TRIES`` at call time, so a
-    patched budget reaches both.  After each repair it asserts that the
-    repaired pair is valid and that no valid pair has turned invalid, so
-    the pass makes at most s repairs."""
+    walk, made once for each pair's endpoints.  It consumes the RNG exactly
+    as ``generator_algorithm`` must: one ascending pass over the pairs
+    invalid at the start, with the rejection budget read from
+    ``matching._REJECTION_TRIES`` at call time, so a patched budget reaches
+    both.  After each repair it asserts that the repaired pair is valid and
+    that no valid pair has turned invalid, so the pass makes at most s
+    repairs."""
     if 2 * s > g.n:
         raise ValueError(f"need 2s={2 * s} <= n={g.n} distinct vertices")
     rng = np.random.default_rng(np.random.PCG64(seed))
@@ -62,11 +63,15 @@ def reference_generator_algorithm(g, k, seed, s):
     selected[draw] = True
     eu = g.eu  # derived on each access, so read once
 
+    balls = {}  # a pair's endpoints -> their Python ball, walked once
+
     def pair_valid(i: int) -> bool:
         u, v = int(pu[i]), int(pv[i])
         if not g.has_edge(u, v):
             return False
-        for w in python_ball(g, (u, v), k - 1):
+        if (u, v) not in balls:
+            balls[u, v] = python_ball(g, (u, v), k - 1)
+        for w in balls[u, v]:
             if selected[w] and w != u and w != v:
                 return False
         return True
