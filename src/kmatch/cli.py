@@ -296,12 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge", dest="edges", action="append", help="u,v (repeatable)")
     p.set_defaults(func=_cmd_oracle)
 
-    for name, count_flag, text in (
-        ("experiment", "--trials", "seeded Monte Carlo trials"),
+    for name, count_flag, text, s_text in (
+        ("experiment", "--trials", "seeded Monte Carlo trials",
+         "generator target size; needs --algorithm generator"),
         ("theorem51", "--samples",
-         "measure far-set size and induced-edge frequency for random 2s-sets"),
+         "measure far-set size and induced-edge frequency for random 2s-sets",
+         "pairs s in each random 2s-set whose far set is measured"),
         ("layers", "--samples",
-         "measure |{v : d(v,S)=i}| / (2 s d^i) growth for random 2s-sets"),
+         "measure |{v : d(v,S)=i}| / (2 s d^i) growth for random 2s-sets",
+         "pairs s in each random 2s-set whose distance layers are measured"),
     ):
         p = sub.add_parser(name, help=text)
         _add_scale(p)
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--algorithm", required=True, choices=list(experiments.ALGORITHMS)
             )
-        p.add_argument("--s", type=_pairs, help="pair-count override")
+        p.add_argument("--s", type=_pairs, help=f"{s_text} (default: closed form)")
         p.add_argument("--format", default="csv", choices=["csv", "json"])
         p.add_argument("--out", help="output path (default: stdout)")
         if name == "experiment":

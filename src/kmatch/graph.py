@@ -114,18 +114,10 @@ class Graph:
         return np.concatenate([self.lower[lo[v] : lo[v + 1]], self.ev[up[v] : up[v + 1]]])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        if not (0 <= u < self.n and 0 <= v < self.n):
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             return False
         u, v = min(u, v), max(u, v)
-        row = self.ev[self.upper_ptr[u] : self.upper_ptr[u + 1]]
-        i = int(np.searchsorted(row, v))
-        return i < row.shape[0] and int(row[i]) == v
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (u, v) tuples in ascending lexicographic order."""
-        return zip(self.eu.tolist(), self.ev.tolist())
+        return bool(_upper_hits(self, np.array([u]), np.array([v]))[0])
 
     def mean_degree(self) -> float:
         return 2.0 * self.edge_count / self.n if self.n else 0.0

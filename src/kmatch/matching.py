@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import (  # bench/run.py wraps matching.distance_to_set by name
+from .graph import (  # bench/run.py wraps bounded_ball and distance_to_set here by name
     Graph,
     bounded_ball,
     distance_to_set,
@@ -403,9 +403,10 @@ def exact_um_k(
         raise InstanceTooLargeError(
             f"{m} edges exceeds the exact-search cap {edge_cap}"
         )
+    mu = _edge_rows(g, np.arange(m))
+    members = list(zip(mu.tolist(), g.ev.tolist()))
     # j fits with i iff i's ball misses j's endpoints: symmetric, never j = i
-    members = list(g.edges())
-    balls = [frozenset(bounded_ball(g, e, k - 1)) for e in members]
+    balls = [set(_ball(g, e, k - 1).tolist()) for e in members]
     compat = [
         sum(1 << j for j, (u, v) in enumerate(members) if u not in b and v not in b)
         for b in balls
@@ -425,5 +426,5 @@ def exact_um_k(
             grow(cand & compat[i], chosen | low, size + 1)
 
     grow((1 << m) - 1, 0, 0)
-    witness = [e for i, e in enumerate(members) if best_set >> i & 1]
-    return best_size, KMatching.of(k, witness)
+    chosen = np.array([best_set >> i & 1 for i in range(m)], dtype=bool)
+    return best_size, KMatching(k, mu[chosen], g.ev[chosen])

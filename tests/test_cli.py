@@ -548,6 +548,17 @@ class TestUsage:
         assert "--out" in out and "write the matching" in out
         assert "--seed" in out and "reproducible" in out
 
+    def test_trial_commands_describe_their_own_s(self, capsys):
+        texts = {}
+        for command in ("experiment", "theorem51", "layers"):
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0
+            entry = out.split("\n  --s S", 1)[1].split("\n  --format", 1)[0]
+            texts[command] = " ".join(entry.split())
+        assert "needs --algorithm generator" in texts["experiment"]
+        assert "far set" in texts["theorem51"]
+        assert "distance layers" in texts["layers"]
+
 
 @pytest.mark.parametrize(
     "argv, digest",

@@ -31,7 +31,7 @@ from kmatch.graph import (
 )
 
 import gnp_reference
-from bfs_reference import python_ball
+from bfs_reference import edge_list, nx_graph, python_ball
 from gnp_reference import reference_csr, reference_sample_gnp, symmetric_csr
 
 
@@ -52,7 +52,7 @@ class TestSampling:
     def test_p_one_gives_complete_graph(self):
         g = km.sample_gnp(GnpParams(4, 1.0, 123))
         assert g.edge_count == 6
-        assert list(g.edges()) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert edge_list(g) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
     def test_p_zero_gives_isolated_vertices(self):
         g = km.sample_gnp(GnpParams(100, 0.0, 9))
@@ -301,13 +301,6 @@ class TestSamplerAgainstReference:
         assert_same_arrays(got, reference_csr(n, eu, ev))
 
 
-def nx_graph(g):
-    """The same graph in networkx, the independent distance reference."""
-    out = nx.Graph(list(g.edges()))
-    out.add_nodes_from(range(g.n))
-    return out
-
-
 def nx_set_distance(nxg, sources, v):
     """Distance from v to the nearest source; UNREACHABLE if none is
     connected to v."""
@@ -378,7 +371,7 @@ class TestEdgeDistance:
     def test_shared_vertex_iff_distance_one(self):
         # matches the k=1 case reducing to ordinary matchings
         g = km.sample_gnp(GnpParams(10, 0.4, 3))
-        edges = list(g.edges())
+        edges = edge_list(g)
         for e in edges[:8]:
             for f in edges[:8]:
                 d = km.edge_distance(g, e, f)
@@ -658,17 +651,23 @@ def test_ball_matches_bounded_ball(seed, radius):
 )
 @settings(max_examples=100, deadline=None)
 def test_upper_hits_matches_has_edge(n, p, seed, dtype):
-    """The vectorized bisection of upper rows against ``Graph.has_edge``,
-    on every pair (u, v) with u a vertex and -1 <= v <= n, so down to
-    n = 0, n = 1 and m = 0: a pair is a hit iff it is an edge listed from
-    its smaller end, so never a reversed pair, a loop or a non-vertex."""
+    """The vectorized bisection of upper rows, and ``Graph.has_edge`` which
+    answers through it, against a set of the (eu, ev) pairs, on every pair
+    (u, v) with u a vertex and -1 <= v <= n, so down to n = 0, n = 1 and
+    m = 0: a pair is a hit iff it is an edge listed from its smaller end, so
+    never a reversed pair, a loop or a non-vertex; ``has_edge`` also takes
+    reversed pairs."""
     g = km.sample_gnp(GnpParams(n, p, seed))
+    edges = set(edge_list(g))
     u, v = np.meshgrid(np.arange(n), np.arange(-1, n + 1), indexing="ij")
     u, v = u.ravel().astype(dtype), v.ravel().astype(dtype)
-    want = [a < b and g.has_edge(a, b) for a, b in zip(u.tolist(), v.tolist())]
+    pairs = list(zip(u.tolist(), v.tolist()))
     got = _upper_hits(g, u, v)
     assert got.dtype == bool
-    assert got.tolist() == want
+    assert got.tolist() == [pair in edges for pair in pairs]
+    assert [g.has_edge(a, b) for a, b in pairs] == [
+        (a, b) in edges or (b, a) in edges for a, b in pairs
+    ]
 
 
 def test_distance_to_set_matches_bfs():
@@ -697,7 +696,7 @@ def test_distances_match_networkx(seed):
             for cap in (0, 1, 2, 3, n + 5):
                 within = exact if exact <= cap else UNREACHABLE
                 assert km.vertex_distance(g, u, v, cap=cap) == within
-    edges = list(g.edges())
+    edges = edge_list(g)
     for e in edges:
         for f in edges:
             if e == f:
@@ -854,4 +853,4 @@ def test_from_edges_validation():
     with pytest.raises(ValueError):
         km.from_edges(3, [(0, 3)])
     g = km.from_edges(4, [(2, 0), (3, 1)])
-    assert list(g.edges()) == [(0, 2), (1, 3)]
+    assert edge_list(g) == [(0, 2), (1, 3)]

@@ -24,12 +24,12 @@ from kmatch.matching import (
     _matched_distance,
 )
 
-from bfs_reference import python_ball
+from bfs_reference import edge_list, nx_graph, python_ball
 
 
 def brute_force_um_k(g, k):
     """Reference solver: try all edge subsets."""
-    edges = list(g.edges())
+    edges = edge_list(g)
     best = 0
     for r in range(len(edges), 0, -1):
         if r <= best:
@@ -62,12 +62,13 @@ def reference_generator_algorithm(g, k, seed, s):
     selected = np.zeros(g.n, dtype=bool)
     selected[draw] = True
     eu = g.eu  # derived on each access, so read once
+    edges = set(edge_list(g))
 
     balls = {}  # a pair's endpoints -> their Python ball, walked once
 
     def pair_valid(i: int) -> bool:
         u, v = int(pu[i]), int(pv[i])
-        if not g.has_edge(u, v):
+        if (u, v) not in edges:
             return False
         if (u, v) not in balls:
             balls[u, v] = python_ball(g, (u, v), k - 1)
@@ -143,7 +144,7 @@ def reference_greedy_k_matching(g, k, seed):
     chunk = min(matching._SCAN_CHUNK, m)
     blocked = [False] * g.n
     chosen = []
-    edges = list(g.edges())
+    edges = edge_list(g)
     while True:
         draws = rng.integers(m, size=chunk).tolist()
         live = sum(not (blocked[edges[j][0]] or blocked[edges[j][1]]) for j in draws)
@@ -187,9 +188,10 @@ def reference_is_k_matching(g, m):
     members = m.sorted_edges()
     if not members:
         return True
+    edges = set(edge_list(g))
     verts = []
     for u, v in members:
-        if not (0 <= u < v < g.n) or not g.has_edge(u, v):
+        if (u, v) not in edges:
             return False
         verts.extend((u, v))
     if len(set(verts)) != len(verts):
@@ -209,12 +211,11 @@ def reference_is_k_matching(g, m):
 def networkx_is_maximal(g, m):
     """Maximality from networkx distances: every edge has an endpoint
     within distance k-1 of a matched vertex."""
-    nxg = nx.Graph(list(g.edges()))
-    nxg.add_nodes_from(range(g.n))
+    nxg = nx_graph(g)
     near = set()
     for w in set(np.concatenate([m.u, m.v]).tolist()):
         near.update(nx.single_source_shortest_path_length(nxg, w, cutoff=m.k - 1))
-    return all(u in near or v in near for u, v in g.edges())
+    return all(u in near or v in near for u, v in edge_list(g))
 
 
 def generator_outcome(fn, g, cfg):
@@ -303,10 +304,9 @@ class TestIsKMatching:
         # definition check: pairwise edge distance >= k+1, i.e. min
         # endpoint distance >= k, with distances from networkx
         g = km.sample_gnp(GnpParams(12, 0.25, 17))
-        nxg = nx.Graph(list(g.edges()))
-        nxg.add_nodes_from(range(g.n))
+        nxg = nx_graph(g)
         lengths = dict(nx.all_pairs_shortest_path_length(nxg))
-        edges = list(g.edges())
+        edges = edge_list(g)
         for k in (1, 2, 3):
             for e, f in itertools.combinations(edges, 2):
                 m = KMatching.of(k, [e, f])
@@ -415,9 +415,9 @@ class TestGreedy:
 
 def test_library_paths_never_derive_eu(monkeypatch):
     """Sampling, greedy, the maximality check, the generator with and
-    without its rejection draws, and whole experiment trials never read
-    ``Graph.eu``, which builds an m-entry array: with it made to raise, each
-    returns what it returns unpatched."""
+    without its rejection draws, the exact solver, and whole experiment
+    trials never read ``Graph.eu``, which builds an m-entry array: with it
+    made to raise, each returns what it returns unpatched."""
     configs = [
         km.experiments.TrialConfig(n=3000, d=8, k=2, trials=1, base_seed=3, algorithm=a)
         for a in ("greedy", "generator")
@@ -434,6 +434,10 @@ def test_library_paths_never_derive_eu(monkeypatch):
                 mp.setattr(matching, "_REJECTION_TRIES", tries)
                 m = km.generator_algorithm(g, 2, 7, 20)
             out += [m.u, m.v]
+        small = km.sample_gnp(GnpParams(12, 0.3, 5))
+        for k in (1, 2, 3):
+            size, m = km.exact_um_k(small, k)
+            out += [size, m.u, m.v]
         return out + [km.run_trials(cfg) for cfg in configs]
 
     want = run()
@@ -487,13 +491,28 @@ class TestExact:
             for k in (1, 2, 3):
                 assert km.exact_um_k(g, k)[0] == brute_force_um_k(g, k), (seed, k)
 
+    def test_sparse_graph_against_brute_force(self):
+        """Up to 36 edges over 10^5 vertices, most of them isolated, so most
+        upper rows are empty: a path of three edges, whose k-matching number
+        is 2 at k = 1 and 1 beyond, and disjoint edges elsewhere."""
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(3, 37))
+            ends = rng.choice(10**5, size=2 * m - 2, replace=False).tolist()
+            path = list(zip(ends[:3], ends[1:4]))
+            g = km.from_edges(10**5, path + list(zip(ends[4::2], ends[5::2])))
+            assert g.edge_count == m
+            for k in (1, 2, 3):
+                size, wit = km.exact_um_k(g, k)
+                assert size == brute_force_um_k(g, k) == m - 1 - (k > 1), (seed, k)
+                assert wit.size == size and km.is_k_matching(g, wit)
+
     def test_k1_equals_classical_maximum_matching(self):
         for seed in range(20):
             g = km.sample_gnp(GnpParams(9, 0.3, seed + 100))
             if g.edge_count > 14:
                 continue
-            nxg = nx.Graph(list(g.edges()))
-            nxg.add_nodes_from(range(g.n))
+            nxg = nx_graph(g)
             expected = len(nx.max_weight_matching(nxg, maxcardinality=True))
             assert km.exact_um_k(g, 1)[0] == expected
 
@@ -720,7 +739,7 @@ def graph_and_members(draw):
     p = draw(st.floats(0.05, 0.6))
     g = km.sample_gnp(GnpParams(n, p, draw(st.integers(0, 2**32))))
     k = draw(st.integers(1, 4))
-    edges = list(g.edges())
+    edges = edge_list(g)
     vertex = st.integers(0, n - 1)
     member = st.one_of(
         st.tuples(vertex, vertex),  # non-edges, unnormalized, loops

@@ -47,6 +47,7 @@ def test_import_leaves_scipy_unloaded():
 # there, not here
 BENCH_ONLY_IMPORTS = {
     ("kmatch.experiments", "is_k_matching"),
+    ("kmatch.matching", "bounded_ball"),
     ("kmatch.matching", "distance_to_set"),
     ("kmatch.oracle", "exact_um_k"),
     ("kmatch.oracle", "from_edges"),
