@@ -3,15 +3,17 @@ bounded-radius distance primitives.
 
 Vertices are the integers 0..n-1.  An edge is a normalized ``(u, v)`` tuple
 with ``u < v``, and edge ids number the edges in ascending lexicographic
-order.  Adjacency is stored as two sorted CSR halves over numpy arrays,
-8 bytes per edge and 16 per vertex: the upper half lists each vertex's
+order.  Adjacency is stored as three sorted CSR runs per vertex over numpy
+arrays, 8 bytes per edge and 16 per vertex: the upper run lists a vertex's
 larger neighbours (``ev`` under ``upper_ptr``, whose positions are the edge
-ids), the lower half its smaller ones (``lower`` under ``lower_ptr``).  An
+ids), and two lower runs in ``lower`` its smaller ones, those below a split
+row (under ``low_ptr``) and those at or above it (under ``mid_ptr``).  An
 edge's smaller endpoint is its upper row, so no per-edge array holds it:
 ``Graph.eu`` derives one on each access, and the library's own paths
 bisect ``upper_ptr`` for the edges they read.  Multi-source BFS gathers
-from both halves, and the edges induced by a vertex set are read from the
-set's own upper rows, so neither needs a whole-edge-set scan at n ~ 10^6.
+from all three runs, and the edges induced by a vertex set are read from
+the set's own upper rows, so neither needs a whole-edge-set scan at
+n ~ 10^6.
 
 The G(n,p) sampler walks the lexicographic order of the C(n,2) vertex pairs
 with geometric jumps, which is distributionally identical to drawing each
@@ -19,14 +21,18 @@ pair independently with probability p but costs O(edges) expected time.  All
 randomness comes from a single PCG64 stream created from the 64-bit seed and
 is consumed in a fixed order, so a (n, p, seed) triple denotes one graph
 reproducibly (bit-identical for a fixed numpy version; numpy's generator
-streams are stable across platforms).
+streams are stable across platforms).  The lower runs are the upper rows
+transposed, in two row blocks: a worker thread transposes the rows below
+the split as soon as the walk has passed them, while the calling thread
+finishes the walk and then transposes the rest.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -80,21 +86,39 @@ class GnpParams:
 class Graph:
     """Simple undirected graph, frozen after construction.
 
-    The adjacency is kept as the two halves the sampler builds, each sorted
-    within a vertex: vertex u's larger neighbours are
-    ``ev[upper_ptr[u]:upper_ptr[u+1]]``, whose positions are their edge ids,
-    and its smaller neighbours are ``lower[lower_ptr[u]:lower_ptr[u+1]]``.
-    So ``ev`` lists the larger endpoints of the m normalized edges in
-    ascending lexicographic order, and ``eu``, their smaller endpoints, is
-    derived from ``upper_ptr`` on each access.  Instances are safe to share
-    across threads.
+    Each vertex's neighbours are three sorted runs, in ascending vertex
+    order.  Vertex u's larger neighbours are ``ev[upper_ptr[u]:upper_ptr[u+1]]``,
+    whose positions are their edge ids; so ``ev`` lists the larger endpoints
+    of the m normalized edges in ascending lexicographic order, and ``eu``,
+    their smaller endpoints, is derived from ``upper_ptr`` on each access.
+    Its smaller neighbours below ``split`` are
+    ``lower[low_ptr[u]:low_ptr[u+1]]`` and those from ``split`` up are
+    ``lower[mid_ptr[u]:mid_ptr[u+1]]``: the upper rows below ``split`` and
+    the rest, transposed apart (the first block on a worker thread) into
+    the positions their entries hold in ``ev``.  The lower pointers are
+    int32 while they fit.  ``runs`` holds the three ``(ptr, idx)`` pairs
+    in that order, for the readers.  Instances are safe to share across
+    threads.
     """
 
     n: int
     upper_ptr: np.ndarray  # int64, length n+1; row u holds edge ids from upper_ptr[u]
-    lower_ptr: np.ndarray  # int64, length n+1
-    lower: np.ndarray  # int32, length m, sorted within each vertex
     ev: np.ndarray  # int32, length m, sorted within each vertex's upper row
+    split: int
+    low_ptr: np.ndarray  # int32 (int64 past 2^31 edges), length n+1
+    mid_ptr: np.ndarray  # int32 (int64 past 2^31 edges), length n+1
+    lower: np.ndarray  # int32, length m: the runs below split, then those from it
+    runs: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for a in (self.upper_ptr, self.ev, self.low_ptr, self.mid_ptr, self.lower):
+            _freeze(a)
+        runs = (
+            (self.low_ptr, self.lower),
+            (self.mid_ptr, self.lower),
+            (self.upper_ptr, self.ev),
+        )
+        object.__setattr__(self, "runs", runs)
 
     @property
     def eu(self) -> np.ndarray:
@@ -109,15 +133,18 @@ class Graph:
         return int(self.ev.size)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v: its lower run, then its upper run."""
-        lo, up = self.lower_ptr, self.upper_ptr
-        return np.concatenate([self.lower[lo[v] : lo[v + 1]], self.ev[up[v] : up[v + 1]]])
+        """Sorted neighbor ids of v: its three runs, concatenated."""
+        return np.concatenate([idx[ptr[v] : ptr[v + 1]] for ptr, idx in self.runs])
 
     def has_edge(self, u: int, v: int) -> bool:
+        """One bisection of the smaller endpoint's upper row (``_upper_hits``
+        answers arrays of pairs)."""
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             return False
         u, v = min(u, v), max(u, v)
-        return bool(_upper_hits(self, np.array([u]), np.array([v]))[0])
+        lo, hi = self.upper_ptr[u], self.upper_ptr[u + 1]
+        i = lo + self.ev[lo:hi].searchsorted(v)
+        return bool(i < hi and self.ev[i] == v)
 
     def mean_degree(self) -> float:
         return 2.0 * self.edge_count / self.n if self.n else 0.0
@@ -140,24 +167,104 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+#: The share of the edges whose rows the worker thread transposes: the rows
+#: below the split row, which the sampler's walk passes first.  The worker's
+#: sort then runs about as long as the rest of the walk plus the calling
+#: thread's sort of the other rows.
+_LOW_SHARE = 0.6
+
+
+def _split_row(cum: np.ndarray) -> int:
+    """The first row r whose rows below hold ``_LOW_SHARE`` of the count
+    ``cum[-1]``, given the rows' cumulative counts ``cum`` (``cum[r]`` is
+    the count below row r)."""
+    return int(np.searchsorted(cum, _LOW_SHARE * cum[-1]))
+
+
+def _lower_block(
+    n: int,
+    upper_ptr: np.ndarray,
+    ev: np.ndarray,
+    lower: np.ndarray,
+    first: int,
+    last: int,
+) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """``(args, ptr, idx)``: the arguments of the sort that transposes the
+    upper rows first..last-1, and its two outputs: for every vertex, the
+    smaller neighbours among those rows, as CSR pointers over all n
+    vertices and indices, which ``_lower_run`` finishes.  The indices take
+    the positions the rows' entries hold in ``ev``, in ``lower``.
+    ``upper_ptr`` must be cumulative up to ``last``.
+
+    The sort is scipy's compiled CSR->CSC counting sort, ``csr_tocsc``.  It
+    is stable, so each run is ascending; it runs in O(n + entries) and
+    releases the GIL.  It is called directly, with these preallocated
+    outputs: the public ``tocsc`` copies an input that is a view of less
+    than half of its base.  Its pointers and indices share one type: int32
+    while the positions fit, when the indices are written straight into
+    ``lower``.  No value is read, so the input values are a view of ``ev``'s
+    bytes and the output values one unread byte per entry, freed with
+    ``args``.  Everything is allocated on the calling thread, also for a
+    sort run on a worker: arrays a worker allocates and frees stay resident
+    in that thread's malloc arena (9 MB more peak RSS over greedy trials).
+    """
+    base, stop = int(upper_ptr[first]), int(upper_ptr[last])
+    itype = np.int32 if stop < 2**31 else np.int64
+    rows = np.empty(last - first + 1, dtype=itype)
+    np.subtract(upper_ptr[first : last + 1], base, out=rows, casting="unsafe")
+    cols = ev[base:stop].astype(itype, copy=False)
+    values = ev.view(np.int8)[: stop - base]
+    ptr = np.empty(n + 1, dtype=itype)
+    idx = lower[base:stop] if itype is np.int32 else np.empty(stop - base, dtype=itype)
+    scratch = np.empty(stop - base, dtype=np.int8)
+    return (last - first, n, rows, cols, values, ptr, idx, scratch), ptr, idx
+
+
+def _lower_run(
+    lower: np.ndarray,
+    upper_ptr: np.ndarray,
+    first: int,
+    ptr: np.ndarray,
+    idx: np.ndarray,
+) -> np.ndarray:
+    """The pointers into ``lower`` of a ``_lower_block`` from row ``first``
+    once sorted, with its indices in ``lower`` numbered from the block's
+    rows to vertices."""
+    base = int(upper_ptr[first])
+    run = lower[base : base + idx.size]
+    if idx.dtype != np.int32:
+        run[:] = idx
+    if first:
+        run += first
+    if base:
+        ptr += base
+    return ptr
+
+
 def _from_upper_rows(n: int, upper_ptr: np.ndarray, ev: np.ndarray) -> Graph:
     """Build the graph whose lexicographically sorted edges are the larger
     endpoints ``ev`` (int32) under the int64 row pointers ``upper_ptr``.
 
-    These are already the CSR rows of the upper half: each vertex's larger
-    neighbours, ascending, at their edge ids.  scipy's compiled CSR->CSC
-    counting sort transposes them over m entries into the lower half; it is
-    stable, so each transposed row lists the vertex's smaller neighbours
-    ascending.  The build is O(n + m) and sorts nothing.  No matrix value is
-    read, so the values are a view of ``ev``'s first m bytes.
+    These are already the upper runs.  The lower runs are their transposition
+    in two row blocks, split where the rows below hold ``_LOW_SHARE`` of the
+    edges: a worker thread sorts the rows below the split while this one
+    sorts the rest, and the worker is joined before this returns or raises.
     """
-    from scipy import sparse  # imported here: it takes 0.2 s, and only builds need it
+    from scipy.sparse._sparsetools import csr_tocsc  # imported here: it takes 0.2 s
 
-    values = ev.view(np.int8)[: ev.size]
-    lower = sparse.csr_matrix((values, ev, upper_ptr), shape=(n, n)).tocsc()
-    lower_ptr = lower.indptr.astype(np.int64)
-    lower_idx = lower.indices.astype(np.int32, copy=False)
-    return Graph(n, *map(_freeze, (upper_ptr, lower_ptr, lower_idx, ev)))
+    split = _split_row(upper_ptr)
+    lower = np.empty(ev.size, dtype=np.int32)
+    low_args, *low = _lower_block(n, upper_ptr, ev, lower, 0, split)
+    mid_args, *mid = _lower_block(n, upper_ptr, ev, lower, split, n)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        sorting = pool.submit(csr_tocsc, *low_args)
+        del low_args
+        csr_tocsc(*mid_args)
+        del mid_args
+        sorting.result()
+    low_ptr = _lower_run(lower, upper_ptr, 0, *low)
+    mid_ptr = _lower_run(lower, upper_ptr, split, *mid)
+    return Graph(n, upper_ptr, ev, split, low_ptr, mid_ptr, lower)
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -253,34 +360,68 @@ def sample_gnp(params: GnpParams) -> Graph:
     buffer is cut to the edges drawn at the end.  Both are ``realloc``, which
     moves large blocks by remapping their pages, and pages never written
     are never resident.
+
+    The split row is where the rows below hold ``_LOW_SHARE`` of the pairs,
+    so of the expected edges.  The first batch that starts at or past it
+    finds those rows final: a worker thread sorts them (see
+    ``_from_upper_rows``) while the walk goes on.  The lower runs fill a
+    second buffer sized, grown and cut with the first.  The walk waits for
+    the worker before the buffers grow, as it reads the one and writes the
+    other, and it is joined before this returns or raises.
     """
+    from scipy.sparse._sparsetools import csr_tocsc  # imported here: it takes 0.2 s
+
     n, p = params.n, params.p
     rng = np.random.default_rng(np.random.PCG64(params.seed))
     offs = _pair_offsets(n)
-    upper_ptr = np.zeros(n + 1, dtype=np.int64)  # row sizes at [1:] until the end
+    upper_ptr = np.zeros(n + 1, dtype=np.int64)  # row sizes at [1:] until summed
     total = n * (n - 1) // 2
     mean = total * p
     spare = _SPARE_SD * math.sqrt(mean * (1.0 - p))
     ev = np.empty(min(total, max(0, math.ceil(mean + spare))), dtype=np.int32)
+    lower = np.empty(ev.size, dtype=np.int32)  # sized and cut with ev
+    split = _split_row(offs)
     m = 0
-    for t in _pair_batches(n, p, rng):
-        if t.size == 0:
-            continue
-        # the batch covers rows lo..hi-1, row u holding the pairs
-        # offs[u] <= t < offs[u+1]: search only those rows' offsets
-        lo = int(np.searchsorted(offs, t[0], side="right")) - 1
-        hi = int(np.searchsorted(offs, t[-1], side="right"))
-        run = np.diff(np.searchsorted(t, offs[lo : hi + 1]))
-        upper_ptr[lo + 1 : hi + 1] += run
-        if m + t.size > ev.size:
-            ev.resize(max(2 * ev.size, m + t.size), refcheck=False)
-        shift = np.repeat(offs[lo:hi] - np.arange(lo, hi) - 1, run)
-        ev[m : m + t.size] = t - shift
-        m += t.size
+    with ThreadPoolExecutor(max_workers=1) as pool:
+
+        def sort_low():
+            np.cumsum(upper_ptr[: split + 1], out=upper_ptr[: split + 1])
+            args, *low = _lower_block(n, upper_ptr, ev, lower, 0, split)
+            return low, pool.submit(csr_tocsc, *args)
+
+        low = sorting = None
+        for t in _pair_batches(n, p, rng):
+            if t.size == 0:
+                continue
+            # the batch covers rows lo..hi-1, row u holding the pairs
+            # offs[u] <= t < offs[u+1]: search only those rows' offsets
+            lo = int(np.searchsorted(offs, t[0], side="right")) - 1
+            hi = int(np.searchsorted(offs, t[-1], side="right"))
+            if sorting is None and lo >= split:
+                low, sorting = sort_low()
+            run = np.diff(np.searchsorted(t, offs[lo : hi + 1]))
+            upper_ptr[lo + 1 : hi + 1] += run
+            if m + t.size > ev.size:
+                if sorting is not None:
+                    sorting.result()
+                ev.resize(max(2 * ev.size, m + t.size), refcheck=False)
+                lower.resize(ev.size, refcheck=False)
+            shift = np.repeat(offs[lo:hi] - np.arange(lo, hi) - 1, run)
+            ev[m : m + t.size] = t - shift
+            m += t.size
+        if sorting is None:
+            low, sorting = sort_low()
+        np.cumsum(upper_ptr[split:], out=upper_ptr[split:])
+        del offs  # 8 bytes per vertex, freed before the second block
+        args, *mid = _lower_block(n, upper_ptr, ev, lower, split, n)
+        csr_tocsc(*args)
+        del args
+        sorting.result()
     ev.resize(m, refcheck=False)
-    np.cumsum(upper_ptr, out=upper_ptr)
-    del offs  # 8 bytes per vertex, freed before the transposition sets the peak
-    return _from_upper_rows(n, upper_ptr, ev)
+    lower.resize(m, refcheck=False)
+    low_ptr = _lower_run(lower, upper_ptr, 0, *low)
+    mid_ptr = _lower_run(lower, upper_ptr, split, *mid)
+    return Graph(n, upper_ptr, ev, split, low_ptr, mid_ptr, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +492,16 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _runs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _runs(
+    starts: np.ndarray, stops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positions ``starts[i]:stops[i]`` of every run i, concatenated in
-    order, and each run's length."""
+    order, each run's length, and where each run ends among them."""
     counts = stops - starts
     ends = np.cumsum(counts)
     pos = np.repeat(starts - ends + counts, counts)
     pos += np.arange(pos.size, dtype=np.int64)
-    return pos, counts
+    return pos, counts, ends
 
 
 def _blocks(verts: np.ndarray, *ptrs: np.ndarray) -> Iterator[np.ndarray]:
@@ -379,26 +522,27 @@ def _blocks(verts: np.ndarray, *ptrs: np.ndarray) -> Iterator[np.ndarray]:
 def _gather_neighbors(
     g: Graph, verts: np.ndarray, *values: np.ndarray
 ) -> list[np.ndarray]:
-    """The neighbours of ``verts`` with multiplicity (every vertex's lower
-    run, then every vertex's upper run), followed by each per-vertex array
-    of ``values`` repeated to align with them."""
-    nxt = verts + 1
-    pos, counts = _runs(
-        np.concatenate([g.lower_ptr[verts], g.upper_ptr[verts]]),
-        np.concatenate([g.lower_ptr[nxt], g.upper_ptr[nxt]]),
+    """The neighbours of ``verts`` with multiplicity (every vertex's run
+    below the split, then every vertex's run from it, both read from
+    ``g.lower``, then every vertex's upper run), followed by each per-vertex
+    array of ``values`` repeated to align with them."""
+    nxt, k = verts + 1, verts.size
+    pos, counts, ends = _runs(
+        np.concatenate([ptr.take(verts) for ptr, _ in g.runs]),
+        np.concatenate([ptr.take(nxt) for ptr, _ in g.runs]),
     )
-    split = int(counts[: verts.size].sum())
+    split = int(ends[2 * k - 1]) if k else 0
     nbrs = np.empty(pos.size, dtype=np.int32)
     np.take(g.lower, pos[:split], out=nbrs[:split])
     np.take(g.ev, pos[split:], out=nbrs[split:])
-    return [nbrs] + [np.repeat(np.concatenate([a, a]), counts) for a in values]
+    return [nbrs] + [np.repeat(np.tile(a, len(g.runs)), counts) for a in values]
 
 
 def _ball(g: Graph, seeds: Sequence[int], radius: int) -> np.ndarray:
     """The vertices within distance <= radius of the seeds, seeds included,
     as an index array that may repeat a vertex.
 
-    The first level is the seeds' two adjacency runs; each further level
+    The first level is the seeds' adjacency runs; each further level
     gathers the neighbours of the previous level's distinct vertices.  The
     last level is not deduplicated: the ball is meant for index assignment
     (``mask[ball] = True``, ``count[ball] += 1``), where a repeated index
@@ -406,9 +550,10 @@ def _ball(g: Graph, seeds: Sequence[int], radius: int) -> np.ndarray:
     """
     levels = [seeds]
     if radius >= 1:
+        lp, mp, up, lower, ev = g.low_ptr, g.mid_ptr, g.upper_ptr, g.lower, g.ev
         for s in seeds:
-            levels.append(g.lower[g.lower_ptr[s] : g.lower_ptr[s + 1]])
-            levels.append(g.ev[g.upper_ptr[s] : g.upper_ptr[s + 1]])
+            t = s + 1
+            levels += (lower[lp[s] : lp[t]], lower[mp[s] : mp[t]], ev[up[s] : up[t]])
     frontier, one = levels[1:], len(seeds) == 1  # one seed's runs are distinct
     for r in range(radius - 1):
         verts = np.concatenate(frontier)
@@ -434,10 +579,11 @@ def _bfs(
     dist = np.full(g.n, cap, dtype=np.int32)
     dist[src] = 0
     frontier = src
+    ptrs = [ptr for ptr, _ in g.runs]
     for level in range(1, cap):
         label = owner is not None and level < cap - 1
         reached = [np.empty(0, dtype=np.int32)]
-        for part in _blocks(frontier, g.lower_ptr, g.upper_ptr):
+        for part in _blocks(frontier, *ptrs):
             values = (owner[part],) if label else ()
             nbrs, *labels = _gather_neighbors(g, part, *values)
             fresh = dist[nbrs] == cap

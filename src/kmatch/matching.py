@@ -161,7 +161,7 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     if not (edges and disjoint):
         return dist, False
     near = np.flatnonzero(dist <= (k - 2) // 2)
-    for part in _blocks(near, g.lower_ptr, g.upper_ptr):
+    for part in _blocks(near, *[ptr for ptr, _ in g.runs]):
         y, x = _gather_neighbors(g, part, part)
         close = dist[x] + dist[y] <= k - 2
         if np.any(owner[x[close]] != owner[y[close]]):
@@ -291,7 +291,7 @@ def _kept_balls(g: Graph, src: np.ndarray, radius: int):
             cover[ball] += 1
         ptr = np.cumsum([0] + [ball.size for ball in parts])
         return np.concatenate(parts), ptr, cover
-    deg = sum(p[src + 1] - p[src] for p in (g.lower_ptr, g.upper_ptr))
+    deg = sum(ptr[src + 1] - ptr[src] for ptr, _ in g.runs)
     # expected sizes (a few per cent off on G(n,p)) size the one buffer
     size = (1 + deg) * (1 + round(g.mean_degree())) ** (radius - 1)
     balls = np.empty(size.sum(), dtype=np.int32)

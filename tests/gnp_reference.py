@@ -2,7 +2,7 @@
 decode: one global int64 pair-index array, then scipy's COO->CSR build over
 the full 2m-entry symmetric COO.  The reference the library's sampler and
 ``from_edges`` are tested against, byte for byte, through ``symmetric_csr``,
-which merges a graph's two adjacency halves back into that CSR."""
+which merges a graph's three adjacency runs back into that CSR."""
 
 import math
 
@@ -33,15 +33,24 @@ def reference_csr(n, eu, ev):
 
 
 def symmetric_csr(g):
-    """(indptr, indices, eu, ev) of the graph g, its lower and upper
-    adjacency halves merged row by row: each vertex's smaller neighbours,
-    then its larger ones."""
+    """(indptr, indices, eu, ev) of the graph g, its three adjacency runs
+    merged row by row: each vertex's smaller neighbours below the split,
+    then those from the split up, then its larger ones."""
+    blocks = [(g.low_ptr, g.lower), (g.mid_ptr, g.lower), (g.upper_ptr, g.ev)]
     runs = [np.empty(0, dtype=np.int32)]
     for v in range(g.n):
-        runs.append(g.lower[g.lower_ptr[v] : g.lower_ptr[v + 1]])
-        runs.append(g.ev[g.upper_ptr[v] : g.upper_ptr[v + 1]])
-    indptr = (g.lower_ptr + g.upper_ptr).astype(np.int64)
+        runs += [idx[ptr[v] : ptr[v + 1]] for ptr, idx in blocks]
+    degree = sum(np.diff(ptr.astype(np.int64)) for ptr, _ in blocks)
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(degree)])
     return indptr, np.concatenate(runs).astype(np.int32), g.eu, g.ev
+
+
+def lower_csr(g):
+    """(indptr, indices) of every vertex's smaller neighbours, ascending,
+    from one public scipy ``tocsc`` of g's whole upper half."""
+    values = np.ones(g.edge_count, dtype=np.int8)
+    lower = sparse.csr_matrix((values, g.ev, g.upper_ptr), shape=(g.n, g.n)).tocsc()
+    return lower.indptr.astype(np.int64), lower.indices.astype(np.int32)
 
 
 def _pair_offsets(n):

@@ -126,7 +126,7 @@ class TestRunTrials:
         distance_to_set from the matched vertices gave."""
 
         def adjacent_pair(g, k, seed):  # two edges sharing a vertex
-            degree = np.diff(g.lower_ptr) + np.diff(g.upper_ptr)
+            degree = np.diff(g.low_ptr) + np.diff(g.mid_ptr) + np.diff(g.upper_ptr)
             v = int(np.flatnonzero(degree >= 2)[0])
             a, b = g.neighbors(v)[:2].tolist()
             return KMatching.of(k, [(v, a), (v, b)])

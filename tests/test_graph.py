@@ -5,14 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import kmatch as km
 from kmatch.graph import (
@@ -32,7 +36,7 @@ from kmatch.graph import (
 
 import gnp_reference
 from bfs_reference import edge_list, nx_graph, python_ball
-from gnp_reference import reference_csr, reference_sample_gnp, symmetric_csr
+from gnp_reference import lower_csr, reference_csr, reference_sample_gnp, symmetric_csr
 
 
 def test_edge_normalizes_and_rejects_loops():
@@ -84,7 +88,8 @@ class TestSampling:
         a = km.sample_gnp(GnpParams(500, 0.05, 42))
         b = km.sample_gnp(GnpParams(500, 0.05, 42))
         assert a == b
-        assert np.array_equal(a.lower, b.lower)
+        for (ptr_a, idx_a), (ptr_b, idx_b) in zip(a.runs, b.runs, strict=True):
+            assert np.array_equal(ptr_a, ptr_b) and np.array_equal(idx_a, idx_b)
         c = km.sample_gnp(GnpParams(500, 0.05, 43))
         assert a != c
 
@@ -299,6 +304,153 @@ class TestSamplerAgainstReference:
         ev = np.array([v for _, v in edges], dtype=np.int32)
         got = symmetric_csr(km.from_edges(n, [(v, u) for u, v in reversed(edges)]))
         assert_same_arrays(got, reference_csr(n, eu, ev))
+
+
+def spied_sample(params, cap, spare_sd):
+    """``sample_gnp(params)`` with ``_BATCH_CAP = cap`` and ``_SPARE_SD =
+    spare_sd``, and how its worker ran: whether it was started mid-walk,
+    and how many times the walk waited for it (to grow the buffers)."""
+    seen = types.SimpleNamespace(walked=False, mid_walk=None, waits=0)
+    real_batches = km.graph._pair_batches
+
+    def batches(*args):
+        yield from real_batches(*args)
+        seen.walked = True
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            seen.mid_walk = not seen.walked
+            future = super().submit(fn, *args)
+            result = future.result
+
+            def waited(*a):
+                seen.waits += not seen.walked
+                return result(*a)
+
+            future.result = waited
+            return future
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km.graph, "_BATCH_CAP", cap)
+        mp.setattr(km.graph, "_SPARE_SD", spare_sd)
+        mp.setattr(km.graph, "_pair_batches", batches)
+        mp.setattr(km.graph, "ThreadPoolExecutor", Pool)
+        g = km.sample_gnp(params)
+    return g, seen
+
+
+def assert_three_runs(g, eu, ev):
+    """g's three runs against networkx's sorted neighbours of the edges
+    (eu, ev), and its two lower runs against one scipy ``tocsc``."""
+    nxg = nx.Graph(zip(eu.tolist(), ev.tolist()))
+    nxg.add_nodes_from(range(g.n))
+    indptr, indices = lower_csr(g)
+    assert g.low_ptr.dtype == g.mid_ptr.dtype == np.int32
+    assert g.low_ptr.size == g.mid_ptr.size == g.n + 1
+    # the rows below the split fill lower up to where they end in ev
+    below = g.upper_ptr[g.split] if g.n else 0
+    assert g.low_ptr[0] == 0 and g.low_ptr[-1] == below == g.mid_ptr[0]
+    assert g.mid_ptr[-1] == g.edge_count
+    assert np.all(g.lower[:below] < g.split) and np.all(g.lower[below:] >= g.split)
+    for v in range(g.n):
+        assert g.neighbors(v).tolist() == sorted(nxg[v])
+        low = g.lower[g.low_ptr[v] : g.low_ptr[v + 1]]
+        mid = g.lower[g.mid_ptr[v] : g.mid_ptr[v + 1]]
+        want = indices[indptr[v] : indptr[v + 1]]
+        assert np.concatenate([low, mid]).tolist() == want.tolist()
+
+
+class TestThreeRuns:
+    """The two lower runs, transposed apart on two threads, against
+    networkx and one whole transposition, wherever the worker starts."""
+
+    @given(
+        n=st.integers(0, 40),
+        p=st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**32),
+        cap=st.sampled_from([1, 8, 64, 2**16]),
+        spare_sd=st.sampled_from([8, -(10**9)]),
+    )
+    @example(n=0, p=0.5, seed=1, cap=8, spare_sd=8)
+    @example(n=1, p=0.5, seed=1, cap=8, spare_sd=8)
+    @example(n=2, p=1.0, seed=1, cap=1, spare_sd=8)
+    @example(n=40, p=1.0, seed=1, cap=8, spare_sd=-(10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_sample_gnp(self, n, p, seed, cap, spare_sd):
+        g, seen = spied_sample(GnpParams(n, p, seed), cap, spare_sd)
+        event(f"worker started {'mid-walk' if seen.mid_walk else 'after the walk'}")
+        _, _, eu, ev = reference_sample_gnp(n, p, seed)
+        assert_three_runs(g, eu, ev)
+        built = km.from_edges(n, zip(eu.tolist(), ev.tolist()))
+        assert_three_runs(built, eu, ev)
+
+    @pytest.mark.parametrize(
+        "cap, spare_sd, mid_walk, waits",
+        # 2^16: one batch holds the walk.  8: the worker starts mid-walk;
+        # with no spare room the buffer then doubles from 256 to 512 edges
+        [(2**16, 8, False, 0), (8, 8, True, 0), (8, -(10**9), True, 1)],
+    )
+    def test_where_the_worker_starts(self, cap, spare_sd, mid_walk, waits):
+        g, seen = spied_sample(GnpParams(40, 0.5, 3), cap, spare_sd)
+        assert (seen.mid_walk, seen.waits) == (mid_walk, waits)
+        assert 256 < g.edge_count <= 512
+        _, _, eu, ev = reference_sample_gnp(40, 0.5, 3)
+        assert_three_runs(g, eu, ev)
+
+    @pytest.mark.parametrize("build", ["sample_gnp", "from_edges", "read_edge_list"])
+    @pytest.mark.parametrize("fails", [None, "worker", "caller"])
+    def test_no_thread_outlives_a_build(self, monkeypatch, build, fails):
+        """On return and on raise, from the worker's sort or the calling
+        thread's, the build has joined its worker thread."""
+        g = km.sample_gnp(GnpParams(300, 0.05, 1))
+        text = io.StringIO()
+        km.write_edge_list(g, text)
+        builds = {
+            "sample_gnp": lambda: km.sample_gnp(GnpParams(300, 0.05, 1)),
+            "from_edges": lambda: km.from_edges(300, edge_list(g)),
+            "read_edge_list": lambda: km.read_edge_list(io.StringIO(text.getvalue())),
+        }
+        from scipy.sparse import _sparsetools
+
+        caller, real = threading.get_ident(), _sparsetools.csr_tocsc
+
+        def csr_tocsc(*args):
+            if fails == ("caller" if threading.get_ident() == caller else "worker"):
+                raise RuntimeError(f"{fails} failed")
+            return real(*args)
+
+        monkeypatch.setattr(_sparsetools, "csr_tocsc", csr_tocsc)
+        before = threading.active_count()
+        if fails is None:
+            assert builds[build]() == g
+        else:
+            with pytest.raises(RuntimeError, match=f"{fails} failed"):
+                builds[build]()
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("itype", [np.int32, np.int64])
+@pytest.mark.parametrize("seed", range(8))
+def test_private_csr_tocsc_matches_public_tocsc(itype, seed):
+    """Graph builds call scipy's private compiled ``csr_tocsc`` with their
+    own output arrays; this pins it against the public ``tocsc``."""
+    try:
+        from scipy.sparse._sparsetools import csr_tocsc
+    except ImportError as exc:
+        pytest.fail(f"kmatch.graph sorts with scipy's private csr_tocsc: {exc}")
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(x) for x in rng.integers(0, 60, size=2))
+    density = float(rng.uniform(0, 0.5))
+    a = sparse.random(rows, cols, density=density, format="csr", rng=rng)
+    a.data = rng.integers(-128, 128, size=a.nnz).astype(np.int8)
+    ptr, idx = np.empty(cols + 1, dtype=itype), np.empty(a.nnz, dtype=itype)
+    data = np.empty(a.nnz, dtype=np.int8)
+    indptr, indices = a.indptr.astype(itype), a.indices.astype(itype)
+    csr_tocsc(rows, cols, indptr, indices, a.data, ptr, idx, data)
+    want = a.tocsc()
+    assert np.array_equal(ptr, want.indptr)
+    assert np.array_equal(idx, want.indices)
+    assert np.array_equal(data, want.data)
 
 
 def nx_set_distance(nxg, sources, v):
@@ -552,7 +704,7 @@ def test_blocks_cut_greedily_at_the_cap(seed, cap):
     n = int(rng.integers(1, 30))
     g = km.sample_gnp(GnpParams(n, float(rng.uniform(0.0, 0.5)), seed))
     verts = rng.choice(n, size=int(rng.integers(0, 2 * n)))
-    for ptrs in [(g.upper_ptr,), (g.lower_ptr, g.upper_ptr)]:
+    for ptrs in [(g.upper_ptr,), (g.low_ptr, g.mid_ptr, g.upper_ptr)]:
         sizes = sum(ptr[verts + 1] - ptr[verts] for ptr in ptrs)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(km.graph, "_BATCH_CAP", cap)
@@ -649,14 +801,20 @@ def test_ball_matches_bounded_ball(seed, radius):
     st.integers(0, 2**32),
     st.sampled_from([np.int32, np.int64]),
 )
+@example(0, 0.5, 1, np.int64)
+@example(1, 1.0, 1, np.int64)
+@example(2, 1.0, 1, np.int32)
+@example(30, 0.0, 1, np.int32)
+@example(30, 0.05, 2, np.int64)
 @settings(max_examples=100, deadline=None)
 def test_upper_hits_matches_has_edge(n, p, seed, dtype):
-    """The vectorized bisection of upper rows, and ``Graph.has_edge`` which
-    answers through it, against a set of the (eu, ev) pairs, on every pair
-    (u, v) with u a vertex and -1 <= v <= n, so down to n = 0, n = 1 and
-    m = 0: a pair is a hit iff it is an edge listed from its smaller end, so
-    never a reversed pair, a loop or a non-vertex; ``has_edge`` also takes
-    reversed pairs."""
+    """The vectorized bisection of upper rows, and ``Graph.has_edge``'s
+    bisection of one row, against a set of the (eu, ev) pairs, on every
+    pair (u, v) with u a vertex and -1 <= v <= n, so down to n = 0, n = 1
+    and m = 0, on vertex 0's row, vertex n-1's (always empty) and the empty
+    rows between non-empty ones: a pair is a hit iff it is an edge listed
+    from its smaller end, so never a reversed pair, a loop or a non-vertex;
+    ``has_edge`` also takes reversed pairs."""
     g = km.sample_gnp(GnpParams(n, p, seed))
     edges = set(edge_list(g))
     u, v = np.meshgrid(np.arange(n), np.arange(-1, n + 1), indexing="ij")

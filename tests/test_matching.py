@@ -425,7 +425,7 @@ def test_library_paths_never_derive_eu(monkeypatch):
 
     def run():
         g = km.sample_gnp(GnpParams(3000, 8 / 2999, 5))
-        out = [g.upper_ptr, g.lower_ptr, g.lower, g.ev]
+        out = [g.upper_ptr, g.low_ptr, g.mid_ptr, g.lower, g.ev]
         for k in (1, 2, 3):
             m = km.greedy_k_matching(g, k, 7)
             out += [m.u, m.v, km.is_maximal_k_matching(g, m)]
