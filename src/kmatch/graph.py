@@ -492,16 +492,14 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _runs(
-    starts: np.ndarray, stops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _runs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions ``starts[i]:stops[i]`` of every run i, concatenated in
-    order, each run's length, and where each run ends among them."""
+    order, and each run's length."""
     counts = stops - starts
     ends = np.cumsum(counts)
     pos = np.repeat(starts - ends + counts, counts)
     pos += np.arange(pos.size, dtype=np.int64)
-    return pos, counts, ends
+    return pos, counts
 
 
 def _blocks(verts: np.ndarray, *ptrs: np.ndarray) -> Iterator[np.ndarray]:
@@ -526,12 +524,12 @@ def _gather_neighbors(
     below the split, then every vertex's run from it, both read from
     ``g.lower``, then every vertex's upper run), followed by each per-vertex
     array of ``values`` repeated to align with them."""
-    nxt, k = verts + 1, verts.size
-    pos, counts, ends = _runs(
+    nxt = verts + 1
+    pos, counts = _runs(
         np.concatenate([ptr.take(verts) for ptr, _ in g.runs]),
         np.concatenate([ptr.take(nxt) for ptr, _ in g.runs]),
     )
-    split = int(ends[2 * k - 1]) if k else 0
+    split = int(counts[: 2 * verts.size].sum())
     nbrs = np.empty(pos.size, dtype=np.int32)
     np.take(g.lower, pos[:split], out=nbrs[:split])
     np.take(g.ev, pos[split:], out=nbrs[split:])
