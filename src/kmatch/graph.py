@@ -21,16 +21,18 @@ pair independently with probability p but costs O(edges) expected time.  All
 randomness comes from a single PCG64 stream created from the 64-bit seed and
 is consumed in a fixed order, so a (n, p, seed) triple denotes one graph
 reproducibly (bit-identical for a fixed numpy version; numpy's generator
-streams are stable across platforms).  The lower runs are the upper rows
-transposed, in two row blocks: a worker thread transposes the rows below
-the split as soon as the walk has passed them, while the calling thread
-finishes the walk and then transposes the rest.
+streams are stable across platforms).  Every graph is built by ``_build``
+from its upper rows in ascending row items, and its lower runs are those
+rows transposed in two row blocks: a worker thread transposes the rows
+below the split once the items have passed them, while the calling thread
+takes the remaining items and then transposes the rest.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
@@ -61,10 +63,18 @@ UNREACHABLE = math.inf
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
-    """Normalized edge tuple; rejects self-loops."""
+    """Normalized edge tuple of two integers (``operator.index`` raises
+    TypeError on any other end); rejects self-loops."""
+    u, v = operator.index(u), operator.index(v)
     if u == v:
         raise ValueError(f"self-loop ({u}, {v}) is not an edge")
     return (u, v) if u < v else (v, u)
+
+
+def _check_n(n: int) -> None:
+    """The one vertex-count bound: ids 0..n-1 are int32."""
+    if not 0 <= n <= 2**31:
+        raise ValueError(f"n must be in [0, 2^31], got {n}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +86,7 @@ class GnpParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        _check_n(self.n)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
 
@@ -241,27 +250,55 @@ def _lower_run(
     return ptr
 
 
-def _from_upper_rows(n: int, upper_ptr: np.ndarray, ev: np.ndarray) -> Graph:
-    """Build the graph whose lexicographically sorted edges are the larger
-    endpoints ``ev`` (int32) under the int64 row pointers ``upper_ptr``.
+def _build(n: int, split: int, size: int, rows: Iterable[tuple]) -> Graph:
+    """The graph whose upper rows arrive as ascending items ``(lo, hi, run,
+    values)``: row lo+i gains ``run[i]`` entries, whose larger endpoints are
+    ``values`` in order.  They fill an int32 buffer ``ev`` sized at
+    ``size``, grown by an item past it and cut at the end; both are
+    ``realloc``, which moves large blocks by remapping their pages, and
+    pages never written are never resident.  The lower runs fill a second
+    buffer sized, grown and cut with the first.
 
-    These are already the upper runs.  The lower runs are their transposition
-    in two row blocks, split where the rows below hold ``_LOW_SHARE`` of the
-    edges: a worker thread sorts the rows below the split while this one
-    sorts the rest, and the worker is joined before this returns or raises.
+    The first item that starts at or past row ``split`` finds the rows
+    below final: a worker thread sorts them (``_lower_block``) while the
+    items go on, and this thread sorts the rest after the last item.  The
+    buffers grow only after a wait for the worker, which reads the one and
+    writes the other, and it is joined before this returns or raises.
     """
     from scipy.sparse._sparsetools import csr_tocsc  # imported here: it takes 0.2 s
 
-    split = _split_row(upper_ptr)
-    lower = np.empty(ev.size, dtype=np.int32)
-    low_args, *low = _lower_block(n, upper_ptr, ev, lower, 0, split)
-    mid_args, *mid = _lower_block(n, upper_ptr, ev, lower, split, n)
+    upper_ptr = np.zeros(n + 1, dtype=np.int64)  # row sizes at [1:] until summed
+    ev = np.empty(size, dtype=np.int32)
+    lower = np.empty(size, dtype=np.int32)
+    m = 0
     with ThreadPoolExecutor(max_workers=1) as pool:
-        sorting = pool.submit(csr_tocsc, *low_args)
-        del low_args
-        csr_tocsc(*mid_args)
-        del mid_args
+
+        def sort_low():
+            np.cumsum(upper_ptr[: split + 1], out=upper_ptr[: split + 1])
+            args, *low = _lower_block(n, upper_ptr, ev, lower, 0, split)
+            return low, pool.submit(csr_tocsc, *args)
+
+        low = sorting = None
+        for lo, hi, run, values in rows:
+            if sorting is None and lo >= split:
+                low, sorting = sort_low()
+            upper_ptr[lo + 1 : hi + 1] += run
+            if m + values.size > ev.size:
+                if sorting is not None:
+                    sorting.result()
+                ev.resize(max(2 * ev.size, m + values.size), refcheck=False)
+                lower.resize(ev.size, refcheck=False)
+            ev[m : m + values.size] = values
+            m += values.size
+        if sorting is None:
+            low, sorting = sort_low()
+        np.cumsum(upper_ptr[split:], out=upper_ptr[split:])
+        args, *mid = _lower_block(n, upper_ptr, ev, lower, split, n)
+        csr_tocsc(*args)
+        del args
         sorting.result()
+    ev.resize(m, refcheck=False)
+    lower.resize(m, refcheck=False)
     low_ptr = _lower_run(lower, upper_ptr, 0, *low)
     mid_ptr = _lower_run(lower, upper_ptr, split, *mid)
     return Graph(n, upper_ptr, ev, split, low_ptr, mid_ptr, lower)
@@ -269,16 +306,18 @@ def _from_upper_rows(n: int, upper_ptr: np.ndarray, ev: np.ndarray) -> Graph:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph from an edge collection; normalizes, sorts, and validates."""
+    _check_n(n)
     pairs = sorted(edge(u, v) for u, v in edges)
     m = len(pairs)
+    if m and (pairs[0][0] < 0 or max(v for _, v in pairs) >= n):
+        raise ValueError("edge endpoint out of range")
     eu = np.fromiter((p[0] for p in pairs), dtype=np.int32, count=m)
     ev = np.fromiter((p[1] for p in pairs), dtype=np.int32, count=m)
-    if m and (int(eu.min()) < 0 or int(ev.max()) >= n):
-        raise ValueError("edge endpoint out of range")
     for i in range(1, m):
         if pairs[i] == pairs[i - 1]:
             raise ValueError(f"duplicate edge {pairs[i]}")
-    return _from_upper_rows(n, np.searchsorted(eu, np.arange(n + 1)), ev)
+    cum = np.searchsorted(eu, np.arange(n + 1))
+    return _build(n, _split_row(cum), m, [(0, n, np.diff(cum), ev)])
 
 
 def path_graph(n: int) -> Graph:
@@ -345,6 +384,23 @@ def _pair_batches(n: int, p: float, rng: np.random.Generator) -> Iterator[np.nda
         yield idx[: int(np.searchsorted(idx, total, side="left"))]
 
 
+def _pair_rows(offs: np.ndarray, batches: Iterable[np.ndarray]) -> Iterator[tuple]:
+    """The ``_build`` row items of the pair-index batches, each decoded in
+    place (``_build`` holds an item while the next is drawn, so a copy
+    would add a batch to the peak) with the pair offsets ``offs``, which
+    are freed when the walk ends."""
+    for t in batches:
+        if t.size == 0:
+            continue
+        # the batch covers rows lo..hi-1, row u holding the pairs
+        # offs[u] <= t < offs[u+1]: search only those rows' offsets
+        lo = int(np.searchsorted(offs, t[0], side="right")) - 1
+        hi = int(np.searchsorted(offs, t[-1], side="right"))
+        run = np.diff(np.searchsorted(t, offs[lo : hi + 1]))
+        t -= np.repeat(offs[lo:hi] - np.arange(lo, hi) - 1, run)
+        yield lo, hi, run, t
+
+
 def sample_gnp(params: GnpParams) -> Graph:
     """Sample G(n,p): every vertex pair is an edge independently with
     probability p.
@@ -353,75 +409,24 @@ def sample_gnp(params: GnpParams) -> Graph:
     selected indices differ by Geometric(p) jumps computed as
     ``floor(log1p(-U)/log1p(-p)) + 1`` from uniforms U, each one 64-bit
     output of the stream, so the graph is a pure function of the seed
-    whatever the batch size (``_BATCH_CAP`` at most).  Each batch is decoded
-    to int32 larger endpoints straight into one buffer sized at the edge
-    count's mean plus ``_SPARE_SD`` standard deviations; no array of all the
-    pair indices is ever held.  A draw past the buffer grows it, and the
-    buffer is cut to the edges drawn at the end.  Both are ``realloc``, which
-    moves large blocks by remapping their pages, and pages never written
-    are never resident.
-
-    The split row is where the rows below hold ``_LOW_SHARE`` of the pairs,
-    so of the expected edges.  The first batch that starts at or past it
-    finds those rows final: a worker thread sorts them (see
-    ``_from_upper_rows``) while the walk goes on.  The lower runs fill a
-    second buffer sized, grown and cut with the first.  The walk waits for
-    the worker before the buffers grow, as it reads the one and writes the
-    other, and it is joined before this returns or raises.
+    whatever the batch size (``_BATCH_CAP`` at most).  No array of all the
+    pair indices is ever held: ``_pair_rows`` decodes each batch to its
+    rows' larger endpoints, and ``_build`` takes them into buffers sized at
+    the edge count's mean plus ``_SPARE_SD`` standard deviations.  The
+    split row is where the rows below hold ``_LOW_SHARE`` of the pairs, so
+    of the expected edges: the worker sorts those rows while the walk goes
+    on.
     """
-    from scipy.sparse._sparsetools import csr_tocsc  # imported here: it takes 0.2 s
-
     n, p = params.n, params.p
     rng = np.random.default_rng(np.random.PCG64(params.seed))
-    offs = _pair_offsets(n)
-    upper_ptr = np.zeros(n + 1, dtype=np.int64)  # row sizes at [1:] until summed
     total = n * (n - 1) // 2
     mean = total * p
     spare = _SPARE_SD * math.sqrt(mean * (1.0 - p))
-    ev = np.empty(min(total, max(0, math.ceil(mean + spare))), dtype=np.int32)
-    lower = np.empty(ev.size, dtype=np.int32)  # sized and cut with ev
-    split = _split_row(offs)
-    m = 0
-    with ThreadPoolExecutor(max_workers=1) as pool:
-
-        def sort_low():
-            np.cumsum(upper_ptr[: split + 1], out=upper_ptr[: split + 1])
-            args, *low = _lower_block(n, upper_ptr, ev, lower, 0, split)
-            return low, pool.submit(csr_tocsc, *args)
-
-        low = sorting = None
-        for t in _pair_batches(n, p, rng):
-            if t.size == 0:
-                continue
-            # the batch covers rows lo..hi-1, row u holding the pairs
-            # offs[u] <= t < offs[u+1]: search only those rows' offsets
-            lo = int(np.searchsorted(offs, t[0], side="right")) - 1
-            hi = int(np.searchsorted(offs, t[-1], side="right"))
-            if sorting is None and lo >= split:
-                low, sorting = sort_low()
-            run = np.diff(np.searchsorted(t, offs[lo : hi + 1]))
-            upper_ptr[lo + 1 : hi + 1] += run
-            if m + t.size > ev.size:
-                if sorting is not None:
-                    sorting.result()
-                ev.resize(max(2 * ev.size, m + t.size), refcheck=False)
-                lower.resize(ev.size, refcheck=False)
-            shift = np.repeat(offs[lo:hi] - np.arange(lo, hi) - 1, run)
-            ev[m : m + t.size] = t - shift
-            m += t.size
-        if sorting is None:
-            low, sorting = sort_low()
-        np.cumsum(upper_ptr[split:], out=upper_ptr[split:])
-        del offs  # 8 bytes per vertex, freed before the second block
-        args, *mid = _lower_block(n, upper_ptr, ev, lower, split, n)
-        csr_tocsc(*args)
-        del args
-        sorting.result()
-    ev.resize(m, refcheck=False)
-    lower.resize(m, refcheck=False)
-    low_ptr = _lower_run(lower, upper_ptr, 0, *low)
-    mid_ptr = _lower_run(lower, upper_ptr, split, *mid)
-    return Graph(n, upper_ptr, ev, split, low_ptr, mid_ptr, lower)
+    size = min(total, max(0, math.ceil(mean + spare)))
+    offs = _pair_offsets(n)
+    split, rows = _split_row(offs), _pair_rows(offs, _pair_batches(n, p, rng))
+    del offs  # 8 bytes per vertex, freed with the walk, before the second block
+    return _build(n, split, size, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +606,14 @@ def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
     """Per-vertex distance to the nearest source, truncated at ``cap``.
 
     Returns an int32 array where value i < cap is the exact distance and
-    value cap means "at least cap".  Empty source set gives all-cap.
+    value cap means "at least cap".  Empty source set gives all-cap; sources
+    that are not integers raise ValueError.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     src = np.asarray(list(sources) if not isinstance(sources, np.ndarray) else sources)
+    if src.size and src.dtype.kind not in "iu":
+        raise ValueError(f"source vertices must be integers, not {src.dtype}")
     src = _distinct(src.astype(np.int64))
     if src.size and (src[0] < 0 or src[-1] >= g.n):
         raise ValueError("source vertex out of range")
@@ -764,10 +772,12 @@ def read_edge_list(source: Union[str, IO[str]]) -> Graph:
         n, m = _ints(header, 1)
         if n < 0 or m < 0:
             raise ValueError("negative counts in edge list header")
+        _check_n(n)
         text = source.read()
         edges = _canonical_edges(text, n, m)
         eu, ev = edges if edges is not None else _edge_lines(io.StringIO(text), n, m)
-        return _from_upper_rows(n, np.searchsorted(eu, np.arange(n + 1)), ev)
+        cum = np.searchsorted(eu, np.arange(n + 1))
+        return _build(n, _split_row(cum), m, [(0, n, np.diff(cum), ev)])
     finally:
         if close:
             source.close()

@@ -80,7 +80,8 @@ class KMatching:
     """k >= 1 plus members ``(u[i], v[i])`` as read-only int32 arrays, put in
     ascending lexicographic order by the one ``np.lexsort`` here but kept as
     given otherwise (reversed pairs, loops, repeats) for the validators to
-    reject; an id beyond int32 raises ValueError.  ``of`` normalizes them.
+    reject; an id beyond int32 or a non-empty array that is not of integers
+    raises ValueError.  ``of`` normalizes them.
     ``to_text`` writes a "k m" header and one "u v" line per member; no
     command reads a matching back."""
 
@@ -94,6 +95,8 @@ class KMatching:
         uv = np.asarray([self.u, self.v])
         if uv.size and not -(2**31) <= uv.min() <= uv.max() < 2**31:
             raise ValueError("a vertex id does not fit in int32")
+        if uv.size and uv.dtype.kind not in "iu":
+            raise ValueError(f"vertex ids must be integers, not {uv.dtype}")
         uv = _freeze(uv[:, np.lexsort(uv[::-1])].astype(np.int32, copy=False))
         object.__setattr__(self, "u", uv[0])
         object.__setattr__(self, "v", uv[1])

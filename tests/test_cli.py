@@ -223,6 +223,16 @@ class TestMatchingCommands:
         assert out == ""
         assert err == "kmatch: error: k must be >= 2\n"
 
+    def test_file_past_the_vertex_bound_is_a_usage_error(self, capsys, tmp_path):
+        # vertex ids are int32, so n past 2^31 is a usage error, not an overflow
+        path = tmp_path / "g.edges"
+        path.write_text("2147483650 1\n0 2147483649\n")
+        code, out, err = run(
+            capsys, "greedy", "--input", str(path), "--k", "2", "--seed", "3"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("kmatch: error: n must be in [0, 2^31]")
+
     def test_exact_on_file(self, capsys, tmp_path):
         path = tmp_path / "g.edges"
         km.write_edge_list(km.path_graph(7), str(path))

@@ -45,11 +45,36 @@ def test_edge_normalizes_and_rejects_loops():
         km.graph.edge(2, 2)
 
 
+def test_edge_rejects_non_integer_ends():
+    # a float end is not truncated to a vertex
+    assert km.graph.edge(np.int32(3), np.int64(1)) == (1, 3)
+    with pytest.raises(TypeError):
+        km.graph.edge(0, 1.5)
+    with pytest.raises(TypeError):
+        km.from_edges(3, [(0, 1.5)])
+    with pytest.raises(TypeError):
+        km.edge_distance(km.path_graph(3), (0, 1), (1.0, 2))
+
+
 def test_gnp_params_validation():
     with pytest.raises(ValueError):
         GnpParams(-1, 0.5, 0)
     with pytest.raises(ValueError):
         GnpParams(10, 1.5, 0)
+
+
+def test_one_vertex_count_bound():
+    # vertex ids are int32: n = 2^31 is the most there can be
+    assert GnpParams(2**31, 0.5, 0).n == 2**31
+    for build in (
+        lambda: GnpParams(2**31 + 1, 0.5, 0),
+        lambda: km.from_edges(-1, []),
+        lambda: km.path_graph(-3),
+        lambda: km.complete_graph(-1),
+        lambda: km.read_edge_list(io.StringIO("2147483650 1\n0 2147483649\n")),
+    ):
+        with pytest.raises(ValueError, match=r"n must be in \[0, 2\^31\]"):
+            build()
 
 
 class TestSampling:
@@ -383,6 +408,9 @@ class TestThreeRuns:
         assert_three_runs(g, eu, ev)
         built = km.from_edges(n, zip(eu.tolist(), ev.tolist()))
         assert_three_runs(built, eu, ev)
+        text = io.StringIO()
+        km.write_edge_list(g, text)
+        assert_three_runs(km.read_edge_list(io.StringIO(text.getvalue())), eu, ev)
 
     @pytest.mark.parametrize(
         "cap, spare_sd, mid_walk, waits",
@@ -551,6 +579,15 @@ class TestLayers:
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError, match="cap must be >= 1"):
             distance_to_set(km.path_graph(3), [0], 0)
+
+    def test_non_integer_sources_rejected(self):
+        # a float source is not truncated to a vertex
+        g = km.path_graph(3)
+        with pytest.raises(ValueError, match="must be integers"):
+            distance_to_set(g, [1.7], 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            distance_to_set(g, np.array([True]), 2)
+        assert distance_to_set(g, np.array([], dtype=float), 2).tolist() == [2] * 3
 
     @given(st.integers(0, 10**6), st.integers(2, 4))
     @settings(max_examples=60, deadline=None)
@@ -1010,5 +1047,8 @@ def test_from_edges_validation():
         km.from_edges(3, [(0, 1), (1, 0)])  # duplicate after normalization
     with pytest.raises(ValueError):
         km.from_edges(3, [(0, 3)])
+    for far in ([(0, 2**31)], [(-(2**31) - 1, 0)]):  # past int32: not an overflow
+        with pytest.raises(ValueError, match="out of range"):
+            km.from_edges(3, far)
     g = km.from_edges(4, [(2, 0), (3, 1)])
     assert edge_list(g) == [(0, 2), (1, 3)]

@@ -267,6 +267,16 @@ class TestIsKMatching:
         with pytest.raises(ValueError, match="int32"):
             KMatching(2, np.zeros(1, dtype=np.int64), np.full(1, 2**31))
 
+    def test_non_integer_ids_rejected(self):
+        # float ids are not truncated: (1.5, 2.7) is not the member (1, 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            KMatching(2, [1.5], [2.7])
+        with pytest.raises(ValueError, match="must be integers"):
+            KMatching(2, np.array([0.0]), np.array([1.0]))
+        with pytest.raises(TypeError):
+            KMatching.of(2, [(0, 1.5)])
+        assert KMatching(2, [], []).size == 0  # empty lists read as float64
+
     def test_k1_validation_reads_only_the_members_rows(self):
         # a maximal k=1 matching covers most vertices: gathering all their
         # neighbours took 46 bytes per edge here, the members' own upper
