@@ -147,7 +147,9 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """One bisection of the smaller endpoint's upper row (``_upper_hits``
-        answers arrays of pairs)."""
+        answers arrays of pairs).  False for an integer that is not a
+        vertex; ``operator.index`` raises TypeError on any other end."""
+        u, v = operator.index(u), operator.index(v)
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             return False
         u, v = min(u, v), max(u, v)
@@ -439,11 +441,25 @@ def _check_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for graph on {g.n} vertices")
 
 
+def _vertex_array(g: Graph, vertices: Iterable[int], what: str) -> np.ndarray:
+    """The distinct ``vertices`` as a sorted int64 array; raises ValueError,
+    naming them ``what``, when one is not an integer or not a vertex of g."""
+    a = np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} vertices must be integers, not {a.dtype}")
+    a = _distinct(a.astype(np.int64))
+    if a.size and (a[0] < 0 or a[-1] >= g.n):
+        raise ValueError(f"{what} vertex out of range")
+    return a
+
+
 def vertex_distance(
     g: Graph, u: int, v: int, cap: Optional[int] = None
 ) -> Union[int, float]:
     """Shortest-path length between u and v; UNREACHABLE if none, or if a
-    ``cap`` is given and the true distance exceeds it (early exit)."""
+    ``cap`` is given and the true distance exceeds it (early exit).  A
+    vertex that is not an integer raises TypeError (``operator.index``)."""
+    u, v = operator.index(u), operator.index(v)
     _check_vertex(g, u)
     _check_vertex(g, v)
     if u == v:
@@ -481,8 +497,10 @@ def edge_distance(
 def bounded_ball(g: Graph, seeds: Sequence[int], radius: int) -> list[int]:
     """The sorted distinct vertices within distance <= radius of the seed
     set (seeds included), gathered by ``_ball``.  Cost is proportional to
-    the ball, not the graph."""
-    if len(seeds) == 0:
+    the ball, not the graph.  Seeds that are not integers or not vertices
+    of g raise ValueError."""
+    seeds = _vertex_array(g, seeds, "seed")
+    if seeds.size == 0:
         return []
     return _distinct(_ball(g, seeds, radius)).tolist()
 
@@ -607,17 +625,11 @@ def distance_to_set(g: Graph, sources: Iterable[int], cap: int) -> np.ndarray:
 
     Returns an int32 array where value i < cap is the exact distance and
     value cap means "at least cap".  Empty source set gives all-cap; sources
-    that are not integers raise ValueError.
+    that are not integers or not vertices of g raise ValueError.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    src = np.asarray(list(sources) if not isinstance(sources, np.ndarray) else sources)
-    if src.size and src.dtype.kind not in "iu":
-        raise ValueError(f"source vertices must be integers, not {src.dtype}")
-    src = _distinct(src.astype(np.int64))
-    if src.size and (src[0] < 0 or src[-1] >= g.n):
-        raise ValueError("source vertex out of range")
-    return _bfs(g, src, cap)
+    return _bfs(g, _vertex_array(g, sources, "source"), cap)
 
 
 def _upper_hits(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from .graph import (  # bench/run.py wraps bounded_ball and distance_to_set here
     _gather_neighbors,
     _induced_edge_from_mask,
     _induced_edges,
+    _induced_runs,
     _upper_hits,
 )
 
@@ -146,10 +147,12 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
       distances on either side of it are at most the path's lengths to
       its ends (the Voronoi boundary-edge test of Mehlhorn, IPL 1988).
       The test reads owners only at distance <= k-2, so the BFS leaves its
-      last level unlabelled.  Such an edge has an endpoint at distance
-      <= (k-2)//2, so only the neighbours of those vertices are scanned,
-      in ``_blocks``; at k=1 there are none.  Which neighbour one level
-      closer a vertex takes its owner from does not change the verdict.
+      last level unlabelled.  ``_close_edges`` reads those edges: at k=1
+      there are none; at k=2 both endpoints are matched vertices, so each
+      is read once from their upper rows; beyond, an endpoint lies at
+      distance <= (k-2)//2, so only the neighbours of those vertices are
+      scanned, in ``_blocks``.  Which neighbour one level closer a vertex
+      takes its owner from does not change the verdict.
     """
     k, mu, mv = m.k, m.u, m.v
     if not np.all((0 <= mu) & (mu < g.n) & (0 <= mv) & (mv < g.n)):
@@ -163,13 +166,29 @@ def _matched_distance(g: Graph, m: KMatching) -> tuple[np.ndarray, bool]:
     dist = _bfs(g, src, k, owner)
     if not (edges and disjoint):
         return dist, False
+    for x, y in _close_edges(g, dist, k):
+        if np.any(owner[x] != owner[y]):
+            return dist, False
+    return dist, True
+
+
+def _close_edges(g: Graph, dist: np.ndarray, k: int):
+    """The edges (x, y) with dist[x] + dist[y] <= k-2, as endpoint arrays
+    in blocks.  At k=2 they join two vertices at distance 0, so each is read
+    once, from the upper rows of those vertices (``_induced_runs``): at
+    n=10^6, d=50 that took 27-35 ms against 66-94 ms for a gather of all
+    their neighbours.  Beyond, an endpoint lies at distance <= (k-2)//2,
+    and the neighbours of those vertices are gathered in ``_blocks``, so
+    an edge between two of them comes twice."""
+    if k == 2:
+        for ids in _induced_runs(g, dist == 0):
+            yield _edge_rows(g, ids), g.ev[ids]
+        return
     near = np.flatnonzero(dist <= (k - 2) // 2)
     for part in _blocks(near, *[ptr for ptr, _ in g.runs]):
         y, x = _gather_neighbors(g, part, part)
         close = dist[x] + dist[y] <= k - 2
-        if np.any(owner[x[close]] != owner[y[close]]):
-            return dist, False
-    return dist, True
+        yield x[close], y[close]
 
 
 def is_k_matching(g: Graph, m: KMatching) -> bool:
@@ -210,6 +229,83 @@ def gamma_independence_check(g: Graph, m: KMatching) -> bool:
 
 _SCAN_CHUNK = 1 << 16
 
+#: ``owner`` of a vertex that no alive candidate has as an endpoint.
+_NO_OWNER = np.iinfo(np.int32).max
+
+
+def _sub_block(g: Graph, k: int) -> int:
+    """Candidates per prefix-round block at k <= 2: n // (4 * ball), where
+    ball = 2 (1 + d)^(k-1) is about an edge's radius-(k-1) ball at mean
+    degree d, clamped to [512, 4096].  A block's balls then cover at most
+    about a quarter of the vertices, so few of its candidates conflict with
+    an earlier one; such a candidate's gather is repeated in the next
+    round.  Smaller blocks pay numpy's per-call overhead in more rounds.
+    Greedy calls on 2 CPUs, the rule's size in parentheses:
+
+    * n=10^6, d=50, k=2 (2450): blocks of 1024-2048 took 204 ms, of 4096
+      220 ms, of 8192 350 ms and of 16384 390 ms;
+    * n=2000, d=20, k=2 (512): blocks of 512 took 3.4 ms, of 256 4.2 ms,
+      of 1024 4.0 ms and of 4096 8.0 ms, against 4.4 ms for a Python loop;
+    * k=1 (n=10^6: 4096; n=2000: 512): blocks of 1024 to 2^16 took the
+      same 1.3 s at n=10^6, and 2.1-2.5 ms at n=2000.
+    """
+    ball = 2 * (1 + g.mean_degree()) ** (k - 1)
+    return int(min(max(g.n // (4 * ball), 512), 4096))
+
+
+def _rounds(
+    g: Graph,
+    k: int,
+    us: np.ndarray,
+    vs: np.ndarray,
+    blocked: np.ndarray,
+    owner: np.ndarray,
+) -> np.ndarray:
+    """Positions of the candidates ``(us[i], vs[i])``, k <= 2, that a scan
+    in position order keeps, found in prefix rounds (Blelloch, Fineman and
+    Shun, SPAA 2012) over consecutive blocks of ``_sub_block`` of them;
+    ``blocked`` gains their balls.  ``owner`` holds ``_NO_OWNER`` at every
+    vertex, before and after.
+
+    A round reads a block's candidates still alive (no blocked endpoint),
+    ranked in position order.  Each vertex's owner is the least rank of an
+    alive candidate with it as an endpoint (one ``np.minimum.at``), and a
+    candidate is a root when no vertex of its radius-(k-1) ball has a
+    smaller owner: its endpoints, and at k=2 their neighbours, gathered
+    once and labelled by rank.  No earlier alive candidate conflicts with a
+    root, so the scan keeps it, and every candidate a root blocks comes
+    after that root, so the scan skips it.  The round keeps all roots,
+    blocks their balls from the same gather, and drops the candidates they
+    block.
+    """
+    kept = [np.empty(0, dtype=np.int64)]
+    block = _sub_block(g, k)
+    for lo in range(0, us.size, block):
+        bu, bv = us[lo : lo + block], vs[lo : lo + block]
+        pos = np.flatnonzero(~(blocked[bu] | blocked[bv]))
+        while pos.size:
+            ends = np.concatenate([bu[pos], bv[pos]])
+            rank = np.tile(np.arange(pos.size, dtype=np.int32), 2)
+            np.minimum.at(owner, ends, rank)
+            ball, label = [ends], [rank]
+            if k == 2:
+                nbrs, at = _gather_neighbors(g, ends, rank)
+                ball.append(nbrs)
+                label.append(at)
+            late = np.zeros(pos.size, dtype=bool)
+            for x, r in zip(ball, label):
+                late[r[owner.take(x) < r]] = True
+            owner[ends] = _NO_OWNER
+            root = ~late
+            for x, r in zip(ball, label):
+                # take and compress: the rounds took 8% less at k=2 than
+                # with fancy and boolean indexing
+                blocked[np.compress(root.take(r), x)] = True
+            kept.append(lo + pos[root])
+            pos = pos[late]
+            pos = pos[~(blocked[bu[pos]] | blocked[bv[pos]])]
+    return np.concatenate(kept)
+
 
 def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
     """Random-order greedy: keep edges one at a time, each a seeded uniform
@@ -228,7 +324,10 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
     is prefiltered by its endpoints' blocked flags: the larger endpoint's
     first, which is all the compaction reads, as the graph holds no smaller
     endpoints; those are bisected from ``upper_ptr`` only for the ids that
-    pass.
+    pass.  At k <= 2 the candidates left are resolved in prefix rounds
+    (``_rounds``), with no Python step per candidate, and the kept edges are
+    those of the scan one at a time.  Beyond, a Python loop keeps them one
+    at a time, blocking each ball by ``_ball``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -240,6 +339,7 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
     blocked = np.zeros(g.n, dtype=bool)
     kept_u: list[np.ndarray] = []
     kept_v: list[np.ndarray] = []
+    owner = np.full(g.n, _NO_OWNER, dtype=np.int32) if k <= 2 else None
 
     def scan(idx: np.ndarray) -> int:
         """Keep the available edges of idx in order; returns how many of
@@ -251,12 +351,15 @@ def greedy_k_matching(g: Graph, k: int, seed: int) -> KMatching:
         us[order] = _edge_rows(g, idx[order])
         live = ~blocked[us]
         us, vs = us[live], g.ev[idx[live]]
-        keep = []
-        for j, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            if blocked[u] or blocked[v]:
-                continue
-            keep.append(j)
-            blocked[_ball(g, (u, v), k - 1)] = True
+        if k <= 2:
+            keep = _rounds(g, k, us, vs, blocked, owner)
+        else:
+            keep = []
+            for j, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+                if blocked[u] or blocked[v]:
+                    continue
+                keep.append(j)
+                blocked[_ball(g, (u, v), k - 1)] = True
         kept_u.append(us[keep])
         kept_v.append(vs[keep])
         return us.size

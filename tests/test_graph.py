@@ -516,6 +516,15 @@ class TestDistances:
         with pytest.raises(ValueError):
             km.vertex_distance(g, 0, 3)
 
+    def test_non_integer_vertex_raises(self):
+        # a float vertex is not truncated to a vertex; numpy integers pass
+        g = km.path_graph(4)
+        with pytest.raises(TypeError):
+            km.vertex_distance(g, 1, 2.5)
+        with pytest.raises(TypeError):
+            km.vertex_distance(g, 1.0, 2)
+        assert km.vertex_distance(g, np.int64(0), np.int32(3)) == 3
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_triangle_inequality(self, seed):
@@ -818,6 +827,12 @@ def test_bounded_ball_radius_zero_and_growth():
     assert bounded_ball(g, (), 3) == []
 
 
+@pytest.mark.parametrize("seed", [-1, 6, 7, 1.5])
+def test_bounded_ball_rejects_a_seed_that_is_no_vertex(seed):
+    with pytest.raises(ValueError):
+        bounded_ball(km.path_graph(6), [seed], 1)
+
+
 @given(st.integers(0, 10**6), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_ball_matches_bounded_ball(seed, radius):
@@ -863,6 +878,16 @@ def test_upper_hits_matches_has_edge(n, p, seed, dtype):
     assert [g.has_edge(a, b) for a, b in pairs] == [
         (a, b) in edges or (b, a) in edges for a, b in pairs
     ]
+
+
+def test_has_edge_takes_integers_only():
+    # an integer that is no vertex is no edge end; any other end raises
+    g = km.path_graph(4)
+    assert g.has_edge(np.int64(0), np.int32(1)) and not g.has_edge(7, 1)
+    assert not g.has_edge(-1, 0)
+    for u, v in [(0.0, 1), (0, 1.0), (0.5, 1)]:
+        with pytest.raises(TypeError):
+            g.has_edge(u, v)
 
 
 def test_distance_to_set_matches_bfs():

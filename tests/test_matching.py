@@ -684,6 +684,53 @@ class TestGreedyAgainstReference:
         got = km.greedy_k_matching(g, k, seed)
         assert got == reference_greedy_k_matching(g, k, seed)
 
+    @given(
+        st.one_of(
+            st.builds(
+                lambda n, p, seed: km.sample_gnp(GnpParams(n, p, seed)),
+                st.integers(2, 40),
+                st.floats(0.05, 0.6),
+                st.integers(0, 2**32),
+            ),
+            st.integers(1, 12).map(
+                lambda n: km.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
+            ),
+            st.integers(2, 9).map(km.complete_graph),
+        ),
+        st.integers(1, 2),
+        st.integers(1, 96),
+        st.integers(1, 40),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rounds_against_the_walk(self, g, k, chunk, block, seed):
+        # at k <= 2 the prefix rounds resolve each block of candidates; the
+        # reference walks the same draws one at a time.  Chunks above m
+        # repeat draws; stars and complete graphs make every candidate of a
+        # block conflict with the first
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "_SCAN_CHUNK", chunk)
+            mp.setattr(matching, "_sub_block", lambda g, k: block)
+            got = km.greedy_k_matching(g, k, seed)
+            assert got == reference_greedy_k_matching(g, k, seed)
+
+    def test_no_ball_call_at_k_up_to_2(self, monkeypatch):
+        g = km.sample_gnp(GnpParams(3000, 8 / 2999, 5))
+        want = {k: km.greedy_k_matching(g, k, 7) for k in (1, 2, 3)}
+        radii = []
+        ball = matching._ball
+
+        def spy(g, seeds, radius):
+            radii.append(radius)
+            return ball(g, seeds, radius)
+
+        monkeypatch.setattr(matching, "_ball", spy)
+        for k in (1, 2):
+            assert km.greedy_k_matching(g, k, 7) == want[k]
+        assert radii == []
+        assert km.greedy_k_matching(g, 3, 7) == want[3]
+        assert set(radii) == {2}  # k >= 3 blocks one kept ball at a time
+
 
 class TestGreedyLaw:
     """Over fixed seeds, greedy must follow the exact output law of
@@ -817,6 +864,29 @@ class TestValidatorsAgainstReference:
         # scan span many blocks, and an owner label comes from the first
         # block that reaches its vertex
         g, m = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(km.graph, "_BATCH_CAP", cap)
+            assert km.is_k_matching(g, m) == reference_is_k_matching(g, m)
+
+    @pytest.mark.parametrize("cap", [1, 64, km.graph._BATCH_CAP])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_k2_members_adjacent_or_sharing_an_endpoint(self, cap, data):
+        # members drawn among the edges at a vertex's closed neighbourhood
+        # mostly share an endpoint or are joined by an edge: the close
+        # edges, read from the matched vertices' upper rows at k=2
+        n = data.draw(st.integers(3, 30))
+        p = data.draw(st.floats(0.05, 0.6))
+        g = km.sample_gnp(GnpParams(n, p, data.draw(st.integers(0, 2**32))))
+        edges = edge_list(g)
+        if not edges:
+            return
+        x = data.draw(st.integers(0, n - 1))
+        near = {x, *g.neighbors(x).tolist()}
+        local = [e for e in edges if e[0] in near or e[1] in near] or edges
+        members = data.draw(st.lists(st.sampled_from(local), min_size=1, max_size=5))
+        members += data.draw(st.lists(st.sampled_from(edges), max_size=2))
+        m = KMatching.of(2, members)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(km.graph, "_BATCH_CAP", cap)
             assert km.is_k_matching(g, m) == reference_is_k_matching(g, m)
